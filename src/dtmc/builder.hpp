@@ -1,14 +1,22 @@
-// Explicit-state reachability builder.
+// Explicit-state exploration: the library's one breadth-first search over
+// Model::transitions, behind buildExplicit, countReachable and
+// modelSignature (signature.hpp).
 //
-// Breadth-first exploration from the initial states; the BFS depth at which
-// no new states appear is PRISM's "reachability iterations" (RI) reported in
-// the paper's Tables III-V. Also provides a memory-lean packed-u64 variant
-// that only counts reachable states (for the paper's original-model columns
-// where the full matrix would not fit in memory).
+// States are keyed by their VarLayout-packed words in a flat open-addressing
+// index (key -> id, ids in BFS discovery order), so each successor is packed
+// and looked up once. Every row is validated (finite, non-negative
+// probabilities; values inside their declared ranges), sorted and merged on
+// packed keys (the order of State's operator<), optionally floored, folded
+// into a signature hash (row length, probability bits, target ids) and, for
+// a build, appended straight to the CSR arrays. Probe and build thus hash
+// the same stream: with probFloor 0, BuildResult::signature ==
+// modelSignature(model).hash. The BFS depth at which no new states appear
+// is PRISM's "reachability iterations" (RI) of the paper's Tables III-V.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "dtmc/explicit_dtmc.hpp"
 #include "dtmc/model.hpp"
@@ -35,16 +43,43 @@ struct BuildOptions {
   la::KeepOrientation orientation = la::KeepOrientation::kBoth;
 };
 
+/// A model the exploration cannot turn into a valid chain; a request-level
+/// error in the engine. kStateLimit also tells a capped build that the
+/// reachable set outgrew its cap.
+class BuildError : public std::runtime_error {
+ public:
+  enum class Kind {
+    kNoInitialStates,
+    kStateLimit,       ///< more than stateLimit() reachable states
+    kOutOfRange,       ///< a value outside [lo, hi], or a wrong-arity state
+    kBadProbability,   ///< a negative or non-finite probability
+    kEmptyRow,         ///< probFloor dropped every transition of a state
+  };
+
+  BuildError(Kind kind, const std::string& message, std::uint64_t limit = 0)
+      : std::runtime_error("model exploration: " + message),
+        kind_(kind), stateLimit_(limit) {}
+
+  [[nodiscard]] Kind kind() const { return kind_; }
+  [[nodiscard]] std::uint64_t stateLimit() const { return stateLimit_; }
+
+ private:
+  Kind kind_;
+  std::uint64_t stateLimit_;
+};
+
 struct BuildResult {
   ExplicitDtmc dtmc;
   /// BFS depth at which the reachable set stopped growing (PRISM's RI).
   std::uint32_t reachabilityIterations = 0;
   /// Wall-clock seconds spent building.
   double buildSeconds = 0.0;
+  /// The exploration's structural signature (see the file comment).
+  std::uint64_t signature = 0;
 };
 
-/// Build the reachable explicit DTMC for a model.
-/// Throws std::runtime_error when maxStates is exceeded.
+/// Build the reachable explicit DTMC for a model. Throws BuildError (a
+/// std::runtime_error) when the model is invalid or maxStates is exceeded.
 [[nodiscard]] BuildResult buildExplicit(const Model& model,
                                         const BuildOptions& options = {});
 
@@ -55,9 +90,9 @@ struct CountResult {
   double buildSeconds = 0.0;
 };
 
-/// Count reachable states without materializing the matrix. Requires the
-/// model's packed state width to fit in 64 bits.
-/// Throws std::runtime_error when maxStates is exceeded.
+/// Count reachable states and transitions without materializing the matrix
+/// (memory: the packed key table and its index). Throws BuildError when the
+/// model is invalid or maxStates is exceeded.
 [[nodiscard]] CountResult countReachable(const Model& model,
                                          std::uint64_t maxStates = 200'000'000);
 

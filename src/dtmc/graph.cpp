@@ -6,34 +6,6 @@
 
 namespace mimostat::dtmc {
 
-namespace {
-
-/// Transposed adjacency (CSR of the reversed digraph), probabilities ignored.
-struct Transpose {
-  std::vector<std::uint64_t> rowPtr;
-  std::vector<std::uint32_t> col;
-};
-
-Transpose transposeOf(const ExplicitDtmc& dtmc) {
-  const std::uint32_t n = dtmc.numStates();
-  Transpose t;
-  t.rowPtr.assign(n + 1, 0);
-  for (std::uint64_t k = 0; k < dtmc.numTransitions(); ++k) {
-    ++t.rowPtr[dtmc.col()[k] + 1];
-  }
-  for (std::uint32_t i = 0; i < n; ++i) t.rowPtr[i + 1] += t.rowPtr[i];
-  t.col.resize(dtmc.numTransitions());
-  std::vector<std::uint64_t> cursor(t.rowPtr.begin(), t.rowPtr.end() - 1);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (std::uint64_t k = dtmc.rowPtr()[s]; k < dtmc.rowPtr()[s + 1]; ++k) {
-      t.col[cursor[dtmc.col()[k]]++] = s;
-    }
-  }
-  return t;
-}
-
-}  // namespace
-
 SccDecomposition computeSccs(const ExplicitDtmc& dtmc) {
   // Iterative Tarjan (explicit stack; models can have millions of states).
   const std::uint32_t n = dtmc.numStates();
@@ -148,7 +120,7 @@ std::uint32_t chainPeriod(const ExplicitDtmc& dtmc) {
 
 la::BitVector backwardReachable(const ExplicitDtmc& dtmc,
                                 const la::BitVector& target) {
-  const Transpose t = transposeOf(dtmc);
+  const la::CsrMatrix& t = dtmc.matrix().transposed();
   la::BitVector reach(target);
   std::vector<std::uint32_t> queue;
   // forEachSetBit is ascending, matching the legacy byte-vector seed scan.
@@ -156,8 +128,8 @@ la::BitVector backwardReachable(const ExplicitDtmc& dtmc,
       [&](std::size_t s) { queue.push_back(static_cast<std::uint32_t>(s)); });
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const std::uint32_t v = queue[head];
-    for (std::uint64_t k = t.rowPtr[v]; k < t.rowPtr[v + 1]; ++k) {
-      const std::uint32_t u = t.col[k];
+    for (std::uint64_t k = t.rowPtr()[v]; k < t.rowPtr()[v + 1]; ++k) {
+      const std::uint32_t u = t.col()[k];
       if (!reach.get(u)) {
         reach.set(u);
         queue.push_back(u);

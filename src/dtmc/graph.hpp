@@ -34,7 +34,9 @@ struct SccDecomposition {
 /// aperiodic chains. Precondition: chain is irreducible.
 [[nodiscard]] std::uint32_t chainPeriod(const ExplicitDtmc& dtmc);
 
-/// States from which the given target set is reachable (backward closure).
+/// States from which the given target set is reachable (backward closure),
+/// walked on the matrix's resident transpose (throws std::logic_error on a
+/// kOriginalOnly build).
 [[nodiscard]] la::BitVector backwardReachable(const ExplicitDtmc& dtmc,
                                               const la::BitVector& target);
 

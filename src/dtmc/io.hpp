@@ -30,12 +30,6 @@ void writeLab(const ExplicitDtmc& dtmc, const Model& model,
 void writeSrew(const ExplicitDtmc& dtmc, const Model& model,
                std::string_view rewardName, std::ostream& os);
 
-/// Convenience wrappers writing to files. Throw std::runtime_error on I/O
-/// failure.
-void writeTraFile(const ExplicitDtmc& dtmc, const std::string& path);
-void writeStaFile(const ExplicitDtmc& dtmc, const std::string& path);
-void writeDotFile(const ExplicitDtmc& dtmc, const std::string& path);
-
 // ---------------------------------------------------------------- import
 
 /// Contents of a parsed PRISM-format model (any part may be absent).

@@ -7,6 +7,9 @@
 // pCTL properties can refer to them.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,10 +36,12 @@ class Model {
   [[nodiscard]] virtual std::vector<State> initialStates() const = 0;
 
   /// Append the successor distribution of `s` to `out`. Implementations may
-  /// emit duplicate targets; the builder merges them. Probabilities must sum
-  /// to 1 within 1e-9. Emitting nothing declares `s` absorbing: the builder
-  /// and the path sampler both materialize a self-loop, so every consumer
-  /// sees the same chain.
+  /// emit duplicate targets; the builder merges them. Probabilities must be
+  /// finite, non-negative and sum to 1 within 1e-9, and values lie in their
+  /// declared ranges (a dtmc::BuildError otherwise; a mass deviation only
+  /// warns). Emitting nothing declares `s` absorbing: the builder and the
+  /// path sampler both materialize a self-loop, so every consumer sees the
+  /// same chain.
   virtual void transitions(const State& s, std::vector<Transition>& out) const = 0;
 
   /// Truth of the named atomic proposition in state `s`.
@@ -48,9 +53,51 @@ class Model {
   [[nodiscard]] virtual double stateReward(const State& s,
                                            std::string_view name) const;
 
+  /// Optional hash of a class tag plus every constructor parameter; the
+  /// engine keys its model cache by it instead of probing the model.
+  /// Contract: equal fingerprints promise equal variables(),
+  /// initialStates() and transitions() — one model's cached build is served
+  /// to the other unchecked — so subclasses that change the chain override
+  /// it. Default: none.
+  [[nodiscard]] virtual std::optional<std::uint64_t> fingerprint() const {
+    return std::nullopt;
+  }
+
   /// Convenience: layout built from variables().
   [[nodiscard]] VarLayout layout() const { return VarLayout(variables()); }
 };
+
+/// The library's one row normalization: sort `row` by `less`, merge
+/// entries `less` cannot tell apart (summing `prob` in sorted order), then
+/// drop entries below `floor` and rescale the rest to the pre-floor mass,
+/// which it returns. normalizeTransitions runs it on State targets, the
+/// explicit builder on packed keys — the same order, hence the same sums.
+template <typename Entry, typename Less>
+double normalizeRow(std::vector<Entry>& row, double floor, Less less) {
+  if (row.empty()) return 0.0;
+  std::sort(row.begin(), row.end(), less);
+  std::size_t last = 0;
+  for (std::size_t i = 1; i < row.size(); ++i) {
+    if (!less(row[last], row[i])) {
+      row[last].prob += row[i].prob;
+    } else if (++last != i) {
+      row[last] = std::move(row[i]);
+    }
+  }
+  row.resize(last + 1);
+  double mass = 0.0;
+  for (const Entry& e : row) mass += e.prob;
+  if (floor > 0.0) {
+    std::erase_if(row, [floor](const Entry& e) { return e.prob < floor; });
+    double kept = 0.0;
+    for (const Entry& e : row) kept += e.prob;
+    if (kept > 0.0 && kept != mass) {
+      const double scale = mass / kept;
+      for (Entry& e : row) e.prob *= scale;
+    }
+  }
+  return mass;
+}
 
 /// Merge duplicate targets in a transition list (sums probabilities) and
 /// optionally drop entries below `floor`, renormalizing the remainder.

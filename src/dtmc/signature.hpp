@@ -1,19 +1,17 @@
 // Structural model signatures for build caching.
 //
 // A signature identifies a dtmc::Model's *transition structure* (variable
-// layout, initial states, reachable transition relation) by a deterministic
-// BFS probe, so an engine can reuse an already-built ExplicitDtmc for a
-// structurally identical model. Atoms and rewards are deliberately NOT part
-// of the signature: the explicit DTMC stores only structure, and label /
-// reward vectors are always re-evaluated through the requesting model.
+// layout, initial states, reachable transition relation), so an engine can
+// reuse an already-built ExplicitDtmc for a structurally identical model.
+// modelSignature is the builder's exploration (builder.hpp) without CSR
+// output, so it hashes the very stream buildExplicit folds into
+// BuildResult::signature; the hash depends on the model alone, hence is
+// stable across runs and processes. Atoms and rewards are deliberately NOT
+// part of it: the explicit DTMC stores only structure, and label / reward
+// vectors are always re-evaluated through the requesting model.
 //
-// The probe doubles as a capped reachable-state count (the paper's
-// "original model" columns count states the same way): when `exact` is
-// true the probe visited the whole reachable set and `states` is its size.
-// When the variable layout packs into 64 bits the probe stores visited
-// states as packed keys (util::PackedStateSet, as countReachable does),
-// cutting probe memory ~5x on large models; wider layouts fall back to the
-// vector-state set. Both paths hash the same stream, so they agree.
+// The probe doubles as a capped reachable-state count: when `exact` is true
+// it visited the whole reachable set and `states` is its size.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +35,14 @@ struct ModelSignature {
   bool exact = false;
   /// States visited (the reachable count when exact).
   std::uint64_t states = 0;
-  /// Transitions hashed during the probe.
+  /// Merged transitions hashed during the probe (the built nnz when exact).
   std::uint64_t transitions = 0;
 };
 
 /// Deterministic structural signature of a model. Never throws on large
-/// models — the probe truncates and reports exact=false instead.
+/// models — the probe truncates and reports exact=false instead — but
+/// throws dtmc::BuildError on an invalid one (bad probability, out-of-range
+/// value, no initial states).
 [[nodiscard]] ModelSignature modelSignature(const Model& model,
                                             const SignatureOptions& options = {});
 

@@ -1,5 +1,6 @@
 #include "dtmc/state.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 
@@ -15,16 +16,19 @@ int bitsFor(std::int64_t rangeSize) {
 
 VarLayout::VarLayout(const std::vector<VarSpec>& vars) : vars_(vars) {
   bitWidth_.reserve(vars_.size());
-  bitOffset_.reserve(vars_.size());
-  int offset = 0;
   for (const auto& v : vars_) {
     assert(v.hi >= v.lo);
-    const int width = bitsFor(v.rangeSize());
-    bitWidth_.push_back(width);
-    bitOffset_.push_back(offset);
-    offset += width;
+    bitWidth_.push_back(bitsFor(v.rangeSize()));
+    totalBits_ += bitWidth_.back();
   }
-  totalBits_ = offset;
+  // Variable 0 takes the most significant field; empty fields sit at 0,
+  // where they never touch the key.
+  bitOffset_.reserve(vars_.size());
+  int offset = totalBits_;
+  for (const int width : bitWidth_) {
+    offset -= width;
+    bitOffset_.push_back(width == 0 ? 0 : offset);
+  }
 }
 
 std::size_t VarLayout::indexOf(const std::string& name) const {
@@ -40,28 +44,34 @@ std::size_t VarLayout::tryIndexOf(const std::string& name) const {
   return npos;
 }
 
-std::uint64_t VarLayout::pack(const State& s) const {
-  assert(fitsInU64());
-  assert(s.size() == vars_.size());
-  std::uint64_t packed = 0;
+std::size_t VarLayout::packInto(const State& s, std::uint64_t* key) const {
+  const std::size_t last = words() - 1;  // the least significant word
+  std::fill(key, key + last + 1, 0);
+  if (s.size() != vars_.size()) return vars_.size();
   for (std::size_t i = 0; i < vars_.size(); ++i) {
-    assert(s[i] >= vars_[i].lo && s[i] <= vars_[i].hi);
-    const auto rel = static_cast<std::uint64_t>(s[i] - vars_[i].lo);
-    packed |= rel << bitOffset_[i];
+    if (s[i] < vars_[i].lo || s[i] > vars_[i].hi) return i;
+    const auto rel = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(s[i]) - vars_[i].lo);
+    const int word = bitOffset_[i] / 64;
+    const int shift = bitOffset_[i] % 64;
+    key[last - word] |= rel << shift;
+    if (shift + bitWidth_[i] > 64) key[last - word - 1] |= rel >> (64 - shift);
   }
-  return packed;
+  return npos;
 }
 
-State VarLayout::unpack(std::uint64_t packed) const {
-  assert(fitsInU64());
-  State s(vars_.size());
+void VarLayout::unpackInto(const std::uint64_t* key, State& s) const {
+  const std::size_t last = words() - 1;
+  s.resize(vars_.size());
   for (std::size_t i = 0; i < vars_.size(); ++i) {
-    const std::uint64_t mask =
-        bitWidth_[i] == 64 ? ~0ULL : ((1ULL << bitWidth_[i]) - 1);
-    const auto rel = (packed >> bitOffset_[i]) & mask;
-    s[i] = vars_[i].lo + static_cast<std::int32_t>(rel);
+    const int word = bitOffset_[i] / 64;
+    const int shift = bitOffset_[i] % 64;
+    std::uint64_t rel = key[last - word] >> shift;
+    if (shift + bitWidth_[i] > 64) rel |= key[last - word - 1] << (64 - shift);
+    rel &= (1ULL << bitWidth_[i]) - 1;  // widths never exceed 32 bits
+    s[i] = static_cast<std::int32_t>(vars_[i].lo +
+                                     static_cast<std::int64_t>(rel));
   }
-  return s;
 }
 
 double VarLayout::potentialStateCount() const {

@@ -1,9 +1,10 @@
 // DTMC state representation.
 //
 // A state is a full assignment of values to the model's state variables
-// (paper §IV-A-1). We store it as a flat int32 vector; a VarLayout can pack
-// a state into a single uint64 for memory-lean reachability counting of the
-// paper's huge "original" models.
+// (paper §IV-A-1). Models see it as a flat int32 vector; the explicit-state
+// exploration keys it as a VarLayout-packed run of uint64 words, with
+// variable 0 in the most significant bits so that numeric key order equals
+// lexicographic State order.
 #pragma once
 
 #include <cassert>
@@ -26,8 +27,10 @@ struct VarSpec {
   }
 };
 
-/// Bit-packing layout derived from a variable list. Supports packing states
-/// whose total width fits in 64 bits; wider models must use the vector form.
+/// Bit-packing layout derived from a variable list. A packed key is
+/// words() uint64 words; the fields sit right-aligned in the key (word 0 is
+/// the most significant word), variable 0 first, so comparing keys word by
+/// word orders them exactly as `State`'s lexicographic operator<.
 class VarLayout {
  public:
   VarLayout() = default;
@@ -44,8 +47,27 @@ class VarLayout {
   [[nodiscard]] std::size_t tryIndexOf(const std::string& name) const;
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  [[nodiscard]] std::uint64_t pack(const State& s) const;
-  [[nodiscard]] State unpack(std::uint64_t packed) const;
+  /// Words per packed key (at least 1).
+  [[nodiscard]] std::size_t words() const {
+    return totalBits_ > 64 ? (static_cast<std::size_t>(totalBits_) + 63) / 64
+                           : 1;
+  }
+  /// Packs `s` into words() words at `key`. Returns npos, or the first
+  /// variable outside its declared range (numVars(): wrong arity).
+  [[nodiscard]] std::size_t packInto(const State& s, std::uint64_t* key) const;
+  void unpackInto(const std::uint64_t* key, State& s) const;
+  /// Single-word forms (fitsInU64() layouts, in-range states).
+  [[nodiscard]] std::uint64_t pack(const State& s) const {
+    std::uint64_t key = 0;
+    [[maybe_unused]] const std::size_t bad = packInto(s, &key);
+    assert(fitsInU64() && bad == npos);
+    return key;
+  }
+  [[nodiscard]] State unpack(std::uint64_t key) const {
+    State s;
+    unpackInto(&key, s);
+    return s;
+  }
 
   /// Log2-style upper bound on the number of syntactically possible states
   /// (product of variable ranges), saturating at ~1e18.
@@ -54,6 +76,7 @@ class VarLayout {
  private:
   std::vector<VarSpec> vars_;
   std::vector<int> bitWidth_;
+  /// Each field's lowest bit, counted from the key's lowest bit.
   std::vector<int> bitOffset_;
   int totalBits_ = 0;
 };

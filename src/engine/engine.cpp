@@ -187,36 +187,51 @@ void AnalysisEngine::evictLocked() {
 std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
     const dtmc::Model& model, const dtmc::BuildOptions& buildOptions,
     std::optional<std::uint64_t> key, bool* cacheHit) {
-  if (cacheHit != nullptr) *cacheHit = false;
   if (!key) {
-    dtmc::SignatureOptions sigOptions;
-    sigOptions.maxStates = buildOptions.maxStates;
-    key = cacheKeyFor(dtmc::modelSignature(model, sigOptions).hash,
-                      buildOptions);
+    if (const std::optional<std::uint64_t> fingerprint = model.fingerprint()) {
+      key = cacheKeyFor(*fingerprint, buildOptions);
+    } else {
+      dtmc::SignatureOptions sigOptions;
+      sigOptions.maxStates = buildOptions.maxStates;
+      key = cacheKeyFor(dtmc::modelSignature(model, sigOptions).hash,
+                        buildOptions);
+    }
   }
 
   std::promise<std::shared_ptr<const BuiltModel>> promise;
-  std::shared_future<std::shared_ptr<const BuiltModel>> joined;
-  {
-    const util::MutexLock lock(cacheMutex_);
-    const auto it = modelCache_.find(*key);
-    if (it != modelCache_.end()) {
-      ++cacheHits_;
-      cacheHitCounter_.inc();
-      it->second.lastUsed = ++useCounter_;
-      joined = it->second.future;
-    } else {
-      ++buildCount_;
-      buildCounter_.inc();
-      CacheSlot slot;
-      slot.future = promise.get_future().share();
-      slot.lastUsed = ++useCounter_;
-      modelCache_.emplace(*key, std::move(slot));
+  for (;;) {
+    if (cacheHit != nullptr) *cacheHit = false;
+    std::shared_future<std::shared_ptr<const BuiltModel>> joined;
+    {
+      const util::MutexLock lock(cacheMutex_);
+      const auto it = modelCache_.find(*key);
+      if (it != modelCache_.end()) {
+        ++cacheHits_;
+        cacheHitCounter_.inc();
+        it->second.lastUsed = ++useCounter_;
+        joined = it->second.future;
+      } else {
+        ++buildCount_;
+        buildCounter_.inc();
+        CacheSlot slot;
+        slot.future = promise.get_future().share();
+        slot.lastUsed = ++useCounter_;
+        modelCache_.emplace(*key, std::move(slot));
+      }
     }
-  }
-  if (joined.valid()) {
+    if (!joined.valid()) break;
     if (cacheHit != nullptr) *cacheHit = true;
-    return joined.get();  // waits for an in-flight build; rethrows failures
+    try {
+      return joined.get();  // waits for an in-flight build; rethrows failures
+    } catch (const dtmc::BuildError& e) {
+      // The joined build ran under a smaller state cap than ours (a kAuto
+      // request's budget build) and outgrew it. Its slot is gone, so build
+      // again under this caller's cap.
+      if (e.kind() != dtmc::BuildError::Kind::kStateLimit ||
+          e.stateLimit() >= buildOptions.maxStates) {
+        throw;
+      }
+    }
   }
 
   try {
@@ -346,9 +361,15 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
   }
   const RequestOptions& options = request.options;
 
-  // Resolve the cache key and the backend.
+  // Resolve the cache key and the backend ("engine.key": the fingerprint
+  // or the structural probe).
+  obs::Span keySpan("engine.key");
   std::uint64_t key = 0;
   Backend backend = options.backend;
+  // kAuto on a fingerprinted model that is not cached yet: build with the
+  // state budget as the cap and let an overflow pick sampling — the
+  // decision the probe below makes, without exploring the model twice.
+  bool budgetBuild = false;
   if (options.modelKey) {
     key = *options.modelKey;
     if (backend == Backend::kAuto) {
@@ -357,32 +378,56 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
       backend = Backend::kExact;
     }
   } else {
-    // The sampling backend needs the key only as a response label, so its
-    // probe is capped at the (small) state budget rather than the build
-    // limit — explicitly sampled models are typically huge.
-    dtmc::SignatureOptions sigOptions;
-    sigOptions.maxStates = backend == Backend::kExact
-                               ? options.build.maxStates
-                               : options.stateBudget + 1;
-    const dtmc::ModelSignature sig =
-        dtmc::modelSignature(*request.model, sigOptions);
-    key = cacheKeyFor(sig.hash, options.build);
+    const std::optional<std::uint64_t> fingerprint =
+        request.model->fingerprint();
+    // Probe a model without a fingerprint, and a kAuto request whose budget
+    // exceeds build.maxStates (a build capped at maxStates cannot tell an
+    // overflow of the budget, which samples, from one of maxStates, which
+    // is an error). The sampling backend needs the probe only for the
+    // response label, so its probe is capped at the (small) state budget
+    // rather than the build limit — explicitly sampled models are
+    // typically huge.
+    std::optional<dtmc::ModelSignature> sig;
+    if (!fingerprint || (backend == Backend::kAuto &&
+                         options.stateBudget > options.build.maxStates)) {
+      dtmc::SignatureOptions sigOptions;
+      sigOptions.maxStates = backend == Backend::kExact
+                                 ? options.build.maxStates
+                                 : options.stateBudget + 1;
+      sig = dtmc::modelSignature(*request.model, sigOptions);
+    }
+    key = cacheKeyFor(fingerprint ? *fingerprint : sig->hash, options.build);
     if (backend == Backend::kAuto) {
       bool cached = false;
       {
         const util::MutexLock lock(cacheMutex_);
         cached = modelCache_.find(key) != modelCache_.end();
       }
-      backend = (cached || (sig.exact && sig.states <= options.stateBudget))
+      budgetBuild = !cached && !sig;
+      backend = (cached || !sig ||
+                 (sig->exact && sig->states <= options.stateBudget))
                     ? Backend::kExact
                     : Backend::kSampling;
     }
   }
+  const double keySeconds = keySpan.stopSeconds();
 
-  AnalysisResponse response =
-      backend == Backend::kExact
-          ? analyzeExact(request, key, span.id())
-          : analyzeSampling(request, key, span.id());
+  AnalysisResponse response;
+  if (backend != Backend::kExact) {
+    response = analyzeSampling(request, key, span.id());
+  } else if (!budgetBuild) {
+    response = analyzeExact(request, options.build, key, span.id());
+  } else {
+    dtmc::BuildOptions capped = options.build;
+    capped.maxStates = options.stateBudget;
+    try {
+      response = analyzeExact(request, capped, key, span.id());
+    } catch (const dtmc::BuildError& e) {
+      if (e.kind() != dtmc::BuildError::Kind::kStateLimit) throw;
+      response = analyzeSampling(request, key, span.id());
+    }
+  }
+  response.timing.keySeconds = keySeconds;
   response.timing.queueSeconds = queueSeconds;
   response.totalSeconds = span.stopSeconds();
   response.timing.totalSeconds = response.totalSeconds;
@@ -392,6 +437,7 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
 }
 
 AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
+                                              const dtmc::BuildOptions& build,
                                               std::uint64_t key,
                                               std::uint64_t traceParent) {
   AnalysisResponse response;
@@ -420,7 +466,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   obs::Span buildSpan("engine.build", traceParent);
   bool cacheHit = false;
   std::shared_ptr<const BuiltModel> built =
-      ensureBuilt(*request.model, request.options.build, key, &cacheHit);
+      ensureBuilt(*request.model, build, key, &cacheHit);
   response.cacheHit = cacheHit;
 
   // Rebuild-on-demand: a transpose-only model (built or cached under a

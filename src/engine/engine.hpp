@@ -4,11 +4,13 @@
 // properties against it" (Tables I-V each sweep properties and horizons over
 // one design). The engine makes that workflow first-class:
 //
-//   1. Model cache: built ExplicitDtmcs are keyed by a structural model
-//      signature (dtmc::modelSignature), so repeated requests against the
-//      same design skip the BFS build. Cached DTMCs store transition
-//      structure only; atoms/rewards always re-resolve through the
-//      requesting model.
+//   1. Model cache: built ExplicitDtmcs are keyed by the model's parameter
+//      fingerprint (dtmc::Model::fingerprint) when it has one — so a cold
+//      request explores the model once, in the build — and otherwise by a
+//      structural signature probe (dtmc::modelSignature). Repeated requests
+//      against the same design skip the build. Cached DTMCs store
+//      transition structure only; atoms/rewards always re-resolve through
+//      the requesting model.
 //   2. Evaluation planning: the request's property set is compiled by
 //      pctl::buildPlan into a deduplicated task DAG (mc::Checker::checkAll
 //      executes it). All bounded path formulas (U<=k / F<=k / G<=k / X)
@@ -129,7 +131,7 @@ struct BuiltModel {
   dtmc::ExplicitDtmc dtmc;
   std::uint32_t reachabilityIterations = 0;
   double buildSeconds = 0.0;
-  /// The structural signature this entry is cached under.
+  /// The cache key this entry is stored under.
   std::uint64_t signature = 0;
   /// Approximate resident size of `dtmc` (CSR arrays + decoded state table
   /// + initial distribution) used for the cache's byte accounting.
@@ -167,8 +169,9 @@ class AnalysisEngine {
   [[nodiscard]] std::future<AnalysisResponse> submit(AnalysisRequest request);
 
   /// Build (or fetch from cache) the explicit DTMC for a model. Concurrent
-  /// calls for the same signature share one build. `key` overrides the
-  /// structural probe as the cache key. When `cacheHit` is non-null it is
+  /// calls for the same key share one build. `key` overrides the cache key,
+  /// which is otherwise derived from the model's fingerprint or, without
+  /// one, its structural probe. When `cacheHit` is non-null it is
   /// set to whether the entry was served from cache (joining an in-flight
   /// build counts as a hit).
   [[nodiscard]] std::shared_ptr<const BuiltModel> ensureBuilt(
@@ -220,7 +223,10 @@ class AnalysisEngine {
   /// latency histogram). Opens the per-request "engine.analyze" span.
   AnalysisResponse analyzeQueued(const AnalysisRequest& request,
                                  double queueSeconds);
+  /// `build` is the request's build options, except that a kAuto request's
+  /// first build of a fingerprinted model is capped at its state budget.
   AnalysisResponse analyzeExact(const AnalysisRequest& request,
+                                const dtmc::BuildOptions& build,
                                 std::uint64_t key, std::uint64_t traceParent);
   AnalysisResponse analyzeSampling(const AnalysisRequest& request,
                                    std::uint64_t key,

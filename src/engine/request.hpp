@@ -36,7 +36,9 @@ enum class Backend {
 struct RequestOptions {
   Backend backend = Backend::kAuto;
   /// kAuto falls back to sampling when the reachable state count exceeds
-  /// this budget.
+  /// this budget. A model with a fingerprint (dtmc::Model::fingerprint) that
+  /// is not cached yet is built with this as its state cap, and the
+  /// overflow decides; a model without one is probed up to the budget.
   std::uint64_t stateBudget = 2'000'000;
   /// Group R=?[I=T] / R=?[C<=T] properties into one transient sweep to the
   /// maximum horizon instead of one sweep per property.
@@ -53,9 +55,10 @@ struct RequestOptions {
   /// mc::requireForwardOrientation. Off = keep the refusal (the error
   /// surfaces per property, siblings still answer).
   bool rebuildOrientation = true;
-  /// Precomputed model signature (e.g. from a previous response). When set,
-  /// the engine skips the structural probe and uses this as the cache key;
-  /// the caller asserts it identifies the model's transition structure.
+  /// Precomputed cache key (e.g. AnalysisResponse::modelKey from a previous
+  /// response). When set, the engine skips the fingerprint and the
+  /// structural probe and uses this as the cache key; the caller asserts it
+  /// identifies the model's transition structure.
   std::optional<std::uint64_t> modelKey;
   /// State-space reduction (exact backend): plan-aware bisimulation
   /// quotienting before checking plus the exact state-elimination checker

@@ -22,6 +22,10 @@ struct PhaseTiming {
   /// Seconds between enqueue (analyzeAll/submit) and the moment a worker
   /// picked the request up; 0 for synchronous analyze().
   double queueSeconds = 0.0;
+  /// Cache-key resolution: the model's fingerprint, or the structural probe
+  /// (dtmc::modelSignature) for a model without one. Near 0 when the
+  /// request brings RequestOptions::modelKey or the model has a fingerprint.
+  double keySeconds = 0.0;
   /// Model acquisition: cache lookup + build (or the wait joining an
   /// in-flight build) + any orientation rebuild.
   double buildSeconds = 0.0;
@@ -127,7 +131,8 @@ struct AnalysisResult {
 struct AnalysisResponse {
   std::vector<AnalysisResult> results;
   Backend backend{};
-  /// The structural model signature used as the cache key (reusable as
+  /// The cache key the request used: derived from the model's fingerprint
+  /// when it has one, else from its structural signature (reusable as
   /// RequestOptions::modelKey).
   std::uint64_t modelKey = 0;
   /// The built DTMC was served from the engine's model cache.
@@ -155,8 +160,8 @@ struct AnalysisResponse {
   ReductionStats reduction;
   /// Wall-clock for the whole request.
   double totalSeconds = 0.0;
-  /// Per-phase wall-clock breakdown (queue/build/plan/check). Sums may be
-  /// less than totalSeconds; the remainder is engine overhead.
+  /// Per-phase wall-clock breakdown (queue/key/build/reduce/plan/check).
+  /// Sums may be less than totalSeconds; the remainder is engine overhead.
   PhaseTiming timing;
   /// Request-level failure (null model, state-space overflow, ...). Set by
   /// analyzeAll/submit instead of losing sibling responses to a rethrow;

@@ -1,5 +1,6 @@
 #include "mimo/model.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -7,6 +8,7 @@
 #include "comm/rayleigh.hpp"
 #include "comm/snr.hpp"
 #include "stats/gaussian.hpp"
+#include "util/hash.hpp"
 
 namespace mimostat::mimo {
 
@@ -195,6 +197,20 @@ double MimoDetectorModel::stateReward(const dtmc::State& s,
     return static_cast<double>(s[idxFlag()]);
   }
   return 0.0;
+}
+
+std::optional<std::uint64_t> MimoDetectorModel::fingerprint() const {
+  // A new MimoParams field changes the size: hash it below, then update.
+  static_assert(sizeof(MimoParams) == 48, "fingerprint every MimoParams field");
+  const MimoParams& p = params();
+  return util::fingerprintOf(
+      "mimo::MimoDetectorModel",
+      {static_cast<std::uint64_t>(p.nr), static_cast<std::uint64_t>(p.nt),
+       std::bit_cast<std::uint64_t>(p.snrDb),
+       static_cast<std::uint64_t>(p.hLevels),
+       std::bit_cast<std::uint64_t>(p.hRange),
+       static_cast<std::uint64_t>(p.yLevels),
+       std::bit_cast<std::uint64_t>(p.yRange)});
 }
 
 lump::BlockStructure MimoDetectorModel::symmetryBlocks() const {

@@ -41,6 +41,8 @@ class MimoDetectorModel : public dtmc::Model {
   /// Default reward = flag.
   [[nodiscard]] double stateReward(const dtmc::State& s,
                                    std::string_view name) const override;
+  /// Class tag + every MimoParams field (the chain depends on nothing else).
+  [[nodiscard]] std::optional<std::uint64_t> fingerprint() const override;
 
   [[nodiscard]] const MimoParams& params() const { return detector_.params(); }
   [[nodiscard]] const MlDetector& detector() const { return detector_; }

@@ -4,6 +4,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <string_view>
 #include <vector>
 
 namespace mimostat::util {
@@ -35,6 +37,16 @@ namespace mimostat::util {
   return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 12) + (a >> 4));
 }
 
+/// Parameter fingerprint (dtmc::Model::fingerprint): a class tag followed
+/// by field values — integers widened, doubles as std::bit_cast bit
+/// patterns — so any field change changes the hash.
+[[nodiscard]] inline std::uint64_t fingerprintOf(
+    std::string_view tag, std::initializer_list<std::uint64_t> fields) {
+  std::uint64_t h = fnv1a(tag.data(), tag.size());
+  for (const std::uint64_t field : fields) h = hashCombine(h, mix64(field));
+  return h;
+}
+
 /// Hash functor for std::vector<int32_t> (the DTMC state type).
 struct VecI32Hash {
   std::size_t operator()(const std::vector<std::int32_t>& v) const {
@@ -43,9 +55,8 @@ struct VecI32Hash {
   }
 };
 
-/// Open-addressing set of packed 64-bit states. Used for counting the
-/// reachable state space of models too large to store as full CSR matrices
-/// (the paper's "original model" columns). Linear probing, power-of-two
+/// Open-addressing set of packed 64-bit states (the symbolic reachability
+/// builder's visited set). Linear probing, power-of-two
 /// capacity, grows at 60% load. Value 0 is reserved as the empty marker, so
 /// keys are stored with +1 bias; the one key whose bias wraps to the marker
 /// (~0) is tracked out of band so every 64-bit key is storable.

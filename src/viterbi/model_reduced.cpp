@@ -1,7 +1,10 @@
 #include "viterbi/model_reduced.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+
+#include "util/hash.hpp"
 
 namespace mimostat::viterbi {
 
@@ -92,6 +95,23 @@ double ReducedViterbiModel::stateReward(const dtmc::State& s,
     return static_cast<double>(s[idxFlag()]);
   }
   return 0.0;
+}
+
+std::optional<std::uint64_t> ReducedViterbiModel::fingerprint() const {
+  // A new ViterbiParams field changes the size: hash it below, then update.
+  static_assert(sizeof(ViterbiParams) == 56,
+                "fingerprint every ViterbiParams field");
+  const ViterbiParams& p = params();
+  return util::fingerprintOf(
+      "viterbi::ReducedViterbiModel",
+      {static_cast<std::uint64_t>(p.tracebackLength),
+       std::bit_cast<std::uint64_t>(p.snrDb),
+       static_cast<std::uint64_t>(p.quantLevels),
+       std::bit_cast<std::uint64_t>(p.quantRange),
+       static_cast<std::uint64_t>(p.pmCap), static_cast<std::uint64_t>(p.bmCap),
+       std::bit_cast<std::uint64_t>(p.bmScale),
+       static_cast<std::uint64_t>(p.withErrorCounter),
+       static_cast<std::uint64_t>(p.errorThreshold)});
 }
 
 }  // namespace mimostat::viterbi

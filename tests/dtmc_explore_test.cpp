@@ -1,0 +1,406 @@
+// The explicit-state exploration — the one BFS behind buildExplicit,
+// countReachable and modelSignature — against the plain vector-state builder
+// (reference_builder.hpp), plus its validation errors and the packed-key
+// layout it relies on.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "dtmc/builder.hpp"
+#include "dtmc/signature.hpp"
+#include "engine/engine.hpp"
+#include "mimo/detector.hpp"
+#include "mimo/model.hpp"
+#include "pml/model.hpp"
+#include "reference_builder.hpp"
+#include "test_models.hpp"
+#include "util/rng.hpp"
+#include "viterbi/model_full.hpp"
+#include "viterbi/model_reduced.hpp"
+
+namespace mimostat {
+namespace {
+
+/// Engine with `threads` workers and the default cache settings.
+engine::EngineOptions engineOptions(std::size_t threads) {
+  engine::EngineOptions options;
+  options.threads = threads;
+  return options;
+}
+
+template <typename T>
+void expectSameBytes(const std::vector<T>& expected, const std::vector<T>& got,
+                     const char* what) {
+  ASSERT_EQ(expected.size(), got.size()) << what;
+  EXPECT_EQ(std::memcmp(expected.data(), got.data(), got.size() * sizeof(T)),
+            0)
+      << what << " differs";
+}
+
+/// Builds `model` both ways and asserts byte-identical CSR (both
+/// orientations the options keep), initial distribution, state table and
+/// RI.
+void expectMatchesOracle(const dtmc::Model& model,
+                         const dtmc::BuildOptions& options = {}) {
+  const test::ReferenceBuild oracle = test::referenceBuild(model, options);
+  const dtmc::BuildResult built = dtmc::buildExplicit(model, options);
+  EXPECT_EQ(built.reachabilityIterations, oracle.reachabilityIterations);
+  EXPECT_EQ(built.dtmc.states(), oracle.raw.states);
+  expectSameBytes(oracle.raw.initial, built.dtmc.initialDistribution(),
+                  "initial");
+
+  const la::CsrMatrix& matrix = built.dtmc.matrix();
+  const dtmc::ExplicitDtmc reference =
+      dtmc::ExplicitDtmc::fromRaw(oracle.raw, options.orientation);
+  EXPECT_EQ(matrix.hasOriginal(), reference.matrix().hasOriginal());
+  if (matrix.hasOriginal()) {
+    expectSameBytes(oracle.raw.rowPtr, built.dtmc.rowPtr(), "rowPtr");
+    expectSameBytes(oracle.raw.col, built.dtmc.col(), "col");
+    expectSameBytes(oracle.raw.val, built.dtmc.val(), "val");
+  }
+  if (matrix.hasTranspose()) {
+    const la::CsrMatrix& t = matrix.transposed();
+    const la::CsrMatrix& expected = reference.matrix().transposed();
+    expectSameBytes(expected.rowPtr(), t.rowPtr(), "transposed rowPtr");
+    expectSameBytes(expected.col(), t.col(), "transposed col");
+    expectSameBytes(expected.val(), t.val(), "transposed val");
+  }
+}
+
+viterbi::ViterbiParams smallViterbiParams(int traceLength) {
+  viterbi::ViterbiParams p;
+  p.tracebackLength = traceLength;
+  p.quantLevels = 4;
+  p.pmCap = 4;
+  return p;
+}
+
+/// Three 31-bit variables: 93 bits, two key words.
+class WideModel : public dtmc::Model {
+ public:
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"a", 0, 0x7FFFFFFF}, {"b", -5, 0x7FFFFFF0}, {"c", 0, 0x7FFFFFFF}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{0, -5, 0x7FFFFFFF}};
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    // Successors differ in the field that straddles the word boundary and
+    // in both neighbours, with a duplicate target.
+    const std::int32_t a = s[0];
+    if (a >= 40) return;  // dead end
+    const auto b = static_cast<std::int32_t>(-5 + (s[1] + 5LL + 3 * a) % 100);
+    const auto c =
+        static_cast<std::int32_t>((s[2] + 1000LL * a) % 0x80000000LL);
+    out.push_back({0.25, {a + 1, b, c}});
+    out.push_back({0.25, {a + 2, 0x7FFFFFF0 - a, 7}});
+    out.push_back({0.5, {a + 1, b, c}});
+  }
+};
+
+/// State 0 steps to 1 with probability 1.2 and to 2 with `bad`; 1 and 2
+/// are absorbing.
+class BadProbabilityModel : public dtmc::Model {
+ public:
+  explicit BadProbabilityModel(double bad) : bad_(bad) {}
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"s", 0, 2}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{0}};
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    if (s[0] != 0) return;
+    out.push_back({1.2, {1}});
+    out.push_back({bad_, {2}});
+  }
+
+ private:
+  double bad_;
+};
+
+/// Variable x in [0..3] whose state 3 steps to x = 4 = hi + 1.
+class OverflowModel : public dtmc::Model {
+ public:
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"x", 0, 3}, {"flag", 0, 1}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{0, 0}};
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    out.push_back({1.0, {s[0] + 1, 1}});
+  }
+};
+
+// ------------------------------------------------------ packed key layout
+
+TEST(VarLayoutWords, WideLayoutRoundTripsAndOrdersLexicographically) {
+  const dtmc::VarLayout layout(WideModel().variables());
+  EXPECT_EQ(layout.totalBits(), 93);
+  EXPECT_EQ(layout.words(), 2u);
+  util::Xoshiro256 rng(5);
+  std::vector<std::uint64_t> ka(2);
+  std::vector<std::uint64_t> kb(2);
+  for (int i = 0; i < 2000; ++i) {
+    const auto draw = [&](std::int32_t lo, std::int32_t hi) {
+      // Small ranges at both ends make equal prefixes likely.
+      const std::int64_t span = rng.nextBounded(4);
+      return rng.nextBounded(2) == 0 ? lo + static_cast<std::int32_t>(span)
+                                     : hi - static_cast<std::int32_t>(span);
+    };
+    const dtmc::State a{draw(0, 0x7FFFFFFF), draw(-5, 0x7FFFFFF0),
+                        draw(0, 0x7FFFFFFF)};
+    const dtmc::State b{draw(0, 0x7FFFFFFF), draw(-5, 0x7FFFFFF0),
+                        draw(0, 0x7FFFFFFF)};
+    ASSERT_EQ(layout.packInto(a, ka.data()), dtmc::VarLayout::npos);
+    ASSERT_EQ(layout.packInto(b, kb.data()), dtmc::VarLayout::npos);
+    dtmc::State back;
+    layout.unpackInto(ka.data(), back);
+    EXPECT_EQ(back, a);
+    EXPECT_EQ(ka < kb, a < b);
+    EXPECT_EQ(ka == kb, a == b);
+  }
+}
+
+TEST(VarLayoutWords, VariableZeroIsMostSignificant) {
+  const dtmc::VarLayout layout({{"a", 0, 6}, {"b", -2, 2}, {"c", 0, 1}});
+  EXPECT_EQ(layout.words(), 1u);
+  // a=5 -> 101, b=-1 -> 001, c=1 -> 1.
+  EXPECT_EQ(layout.pack({5, -1, 1}), 0b101'001'1u);
+}
+
+TEST(VarLayoutWords, PackIntoReportsTheOffendingVariable) {
+  const dtmc::VarLayout layout({{"a", 0, 6}, {"b", -2, 2}});
+  std::uint64_t key = 0;
+  EXPECT_EQ(layout.packInto({7, 0}, &key), 0u);
+  EXPECT_EQ(layout.packInto({0, -3}, &key), 1u);
+  EXPECT_EQ(layout.packInto({0}, &key), 2u);  // wrong arity
+  EXPECT_EQ(layout.packInto({6, 2}, &key), dtmc::VarLayout::npos);
+}
+
+// ------------------------------------------------- oracle, byte for byte
+
+TEST(ExploreOracle, Mimo1x2) {
+  expectMatchesOracle(mimo::MimoDetectorModel(mimo::mimo1x2Params()));
+}
+
+TEST(ExploreOracle, Mimo1x4) {
+  expectMatchesOracle(mimo::MimoDetectorModel(mimo::mimo1x4Params()));
+}
+
+TEST(ExploreOracle, ReducedViterbi) {
+  expectMatchesOracle(viterbi::ReducedViterbiModel(viterbi::ViterbiParams{}));
+}
+
+TEST(ExploreOracle, FullViterbi) {
+  expectMatchesOracle(viterbi::FullViterbiModel(smallViterbiParams(3)));
+}
+
+TEST(ExploreOracle, PmlDuplicateTargets) {
+  // Three updates land on s'=1: the merged sum must run in the oracle's
+  // order to stay byte-identical.
+  const pml::PmlModel model(R"(
+dtmc
+module m
+  s : [0..3] init 0;
+  [] s<3 -> 0.1 : (s'=s+1) + 0.2 : (s'=s+1) + 0.3 : (s'=s+1) + 0.4 : (s'=0);
+endmodule
+)");
+  expectMatchesOracle(model);
+}
+
+TEST(ExploreOracle, GamblersRuin) {
+  expectMatchesOracle(test::gamblersRuin(64, 0.4, 32));
+}
+
+TEST(ExploreOracle, WideLayout) {
+  const WideModel model;
+  ASSERT_FALSE(model.layout().fitsInU64());
+  expectMatchesOracle(model);
+}
+
+TEST(ExploreOracle, DeadEnd) {
+  expectMatchesOracle(test::MatrixModel({{0.0, 1.0}, {0.0, 0.0}}));
+}
+
+TEST(ExploreOracle, SeveralInitialStates) {
+  // Repeated initial state: it carries twice the initial mass.
+  expectMatchesOracle(test::MatrixModel(
+      {{0.5, 0.5, 0.0}, {0.0, 1.0, 0.0}, {0.0, 0.3, 0.7}}, {2, 0, 2}));
+}
+
+TEST(ExploreOracle, ProbFloor) {
+  dtmc::BuildOptions floored;
+  floored.probFloor = 1e-3;
+  const test::MatrixModel model(
+      {{0.5, 0.4995, 5e-4}, {2e-4, 0.9998, 0.0}, {0.0, 0.0, 1.0}});
+  expectMatchesOracle(model, floored);
+  // The floor really dropped entries and renormalized.
+  EXPECT_LT(dtmc::buildExplicit(model, floored).dtmc.numTransitions(),
+            dtmc::buildExplicit(model).dtmc.numTransitions());
+
+  const viterbi::ReducedViterbiModel viterbiModel(viterbi::ViterbiParams{});
+  floored.probFloor = 1e-4;
+  expectMatchesOracle(viterbiModel, floored);
+}
+
+TEST(ExploreOracle, TransposeOnly) {
+  dtmc::BuildOptions transposeOnly;
+  transposeOnly.orientation = la::KeepOrientation::kTransposeOnly;
+  expectMatchesOracle(viterbi::ReducedViterbiModel(viterbi::ViterbiParams{}),
+                      transposeOnly);
+}
+
+// ------------------------------------------- probe, build and count agree
+
+TEST(ExploreSignature, ProbeHashesTheBuildStream) {
+  const WideModel wide;
+  const viterbi::ReducedViterbiModel viterbiModel(smallViterbiParams(4));
+  const test::MatrixModel deadEnd({{0.0, 1.0}, {0.0, 0.0}});
+  const test::MatrixModel ruin = test::gamblersRuin(40, 0.3, 20);
+  for (const dtmc::Model* model :
+       std::vector<const dtmc::Model*>{&wide, &viterbiModel, &deadEnd, &ruin}) {
+    const dtmc::ModelSignature sig = dtmc::modelSignature(*model);
+    const dtmc::BuildResult built = dtmc::buildExplicit(*model);
+    const dtmc::CountResult count = dtmc::countReachable(*model);
+    EXPECT_TRUE(sig.exact);
+    EXPECT_EQ(sig.hash, built.signature);
+    EXPECT_EQ(sig.states, built.dtmc.numStates());
+    EXPECT_EQ(sig.transitions, built.dtmc.numTransitions());
+    EXPECT_EQ(count.numStates, built.dtmc.numStates());
+    EXPECT_EQ(count.numTransitions, built.dtmc.numTransitions());
+    EXPECT_EQ(count.reachabilityIterations, built.reachabilityIterations);
+  }
+}
+
+TEST(ExploreSignature, TruncatedProbeStopsPastTheCap) {
+  const test::MatrixModel model = test::lineModel(50);
+  dtmc::SignatureOptions capped;
+  capped.maxStates = 10;
+  const dtmc::ModelSignature sig = dtmc::modelSignature(model, capped);
+  EXPECT_FALSE(sig.exact);
+  EXPECT_EQ(sig.states, 11u);
+  EXPECT_NE(sig.hash, dtmc::modelSignature(model).hash);
+
+  dtmc::BuildOptions build;
+  build.maxStates = 10;
+  try {
+    (void)dtmc::buildExplicit(model, build);
+    FAIL() << "expected a state-limit error";
+  } catch (const dtmc::BuildError& e) {
+    EXPECT_EQ(e.kind(), dtmc::BuildError::Kind::kStateLimit);
+    EXPECT_EQ(e.stateLimit(), 10u);
+  }
+}
+
+// ------------------------------------------------------ validation errors
+
+TEST(ExploreValidation, OutOfRangeTargetNamesVariableAndState) {
+  const OverflowModel model;
+  try {
+    (void)dtmc::buildExplicit(model);
+    FAIL() << "expected an out-of-range error";
+  } catch (const dtmc::BuildError& e) {
+    EXPECT_EQ(e.kind(), dtmc::BuildError::Kind::kOutOfRange);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("x=4"), std::string::npos) << what;
+    EXPECT_NE(what.find("[0..3]"), std::string::npos) << what;
+    EXPECT_NE(what.find("(x=3, flag=1)"), std::string::npos) << what;
+  }
+  // Every entry point shares the check: no packed key ever aliases.
+  EXPECT_THROW((void)dtmc::modelSignature(model), dtmc::BuildError);
+  EXPECT_THROW((void)dtmc::countReachable(model), dtmc::BuildError);
+}
+
+TEST(ExploreValidation, OutOfRangeInitialStateAndWrongArity) {
+  test::MatrixModel initialOutside({{1.0}}, {1});
+  EXPECT_THROW((void)dtmc::buildExplicit(initialOutside), dtmc::BuildError);
+
+  class ShortState : public OverflowModel {
+    void transitions(const dtmc::State& /*s*/,
+                     std::vector<dtmc::Transition>& out) const override {
+      out.push_back({1.0, {0}});
+    }
+  };
+  try {
+    (void)dtmc::buildExplicit(ShortState());
+    FAIL() << "expected an arity error";
+  } catch (const dtmc::BuildError& e) {
+    EXPECT_EQ(e.kind(), dtmc::BuildError::Kind::kOutOfRange);
+    EXPECT_NE(std::string(e.what()).find("has 1 values"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ExploreValidation, NegativeAndNonFiniteProbabilitiesAreErrors) {
+  for (const double bad : {-0.2, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const BadProbabilityModel model(bad);
+    try {
+      (void)dtmc::buildExplicit(model);
+      FAIL() << "expected a probability error for " << bad;
+    } catch (const dtmc::BuildError& e) {
+      EXPECT_EQ(e.kind(), dtmc::BuildError::Kind::kBadProbability);
+      EXPECT_NE(std::string(e.what()).find("(s=0)"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ExploreValidation, BadProbabilitiesReachTheResponse) {
+  // Checked anyway, these chains would answer P=?[F<=3 ...] with -0.35 and
+  // NaN: the request must fail instead.
+  for (const double bad : {-0.2, std::numeric_limits<double>::quiet_NaN()}) {
+    const BadProbabilityModel model(bad);
+    engine::AnalysisEngine eng(engineOptions(2));
+    engine::AnalysisRequest request;
+    request.model = &model;
+    request.properties = {"P=? [ F<=3 s=2 ]"};
+    EXPECT_THROW((void)eng.analyze(request), dtmc::BuildError) << bad;
+
+    request.options.backend = engine::Backend::kExact;
+    const std::vector<engine::AnalysisResponse> responses =
+        eng.analyzeAll({request, request});
+    for (const engine::AnalysisResponse& response : responses) {
+      EXPECT_FALSE(response.ok()) << bad;
+      EXPECT_NE(response.error.find("transition probability"),
+                std::string::npos)
+          << response.error;
+      EXPECT_TRUE(response.results.empty());
+    }
+    EXPECT_EQ(eng.cachedModelCount(), 0u);
+  }
+}
+
+TEST(ExploreValidation, FloorThatEmptiesARowIsAnError) {
+  dtmc::BuildOptions floored;
+  floored.probFloor = 0.6;
+  const test::MatrixModel model({{0.5, 0.5}, {0.0, 1.0}});
+  try {
+    (void)dtmc::buildExplicit(model, floored);
+    FAIL() << "expected an empty-row error";
+  } catch (const dtmc::BuildError& e) {
+    EXPECT_EQ(e.kind(), dtmc::BuildError::Kind::kEmptyRow);
+  }
+}
+
+TEST(ExploreValidation, NoInitialStatesIsAnError) {
+  const test::MatrixModel model({{1.0}}, {});
+  try {
+    (void)dtmc::buildExplicit(model);
+    FAIL() << "expected a no-initial-states error";
+  } catch (const dtmc::BuildError& e) {
+    EXPECT_EQ(e.kind(), dtmc::BuildError::Kind::kNoInitialStates);
+  }
+}
+
+}  // namespace
+}  // namespace mimostat

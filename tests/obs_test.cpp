@@ -18,6 +18,7 @@
 #include "sweep/spec.hpp"
 #include "test_models.hpp"
 #include "util/rng.hpp"
+#include "viterbi/model_reduced.hpp"
 
 namespace mimostat {
 namespace {
@@ -370,7 +371,7 @@ TEST(ObsDeterminism, SweepCsvByteIdenticalTracingOnVsOff) {
     spec.factory = [](const sweep::Params& p) {
       auto model = std::make_shared<test::MatrixModel>(
           test::twoStateChain(p.getDouble("a"), 0.4));
-      model->withLabel("one", {1}).withRewards({0.0, 1.0});
+      model->withLabel("one", {1, 0}).withRewards({0.0, 1.0});
       return model;
     };
     spec.properties = [](const sweep::Params& p) {
@@ -399,6 +400,71 @@ TEST(ObsDeterminism, SweepCsvByteIdenticalTracingOnVsOff) {
 
   EXPECT_EQ(off.first, on.first);    // CSV, every byte
   EXPECT_EQ(off.second, on.second);  // JSON, every byte
+}
+
+TEST(ObsDeterminism, EngineKeyPhaseBitIdenticalTracingOnVsOff) {
+  // The "engine.key" phase (fingerprint or structural probe) must not
+  // perturb cache keys or answers: a fingerprinted model and a probed one,
+  // each cold then warm, answer byte-identically with tracing on or off.
+  viterbi::ViterbiParams params;
+  params.tracebackLength = 3;
+  const viterbi::ReducedViterbiModel fingerprinted(params);
+  test::MatrixModel probed = test::twoStateChain(0.3, 0.4);
+  probed.withRewards({0.0, 1.0});
+  ASSERT_TRUE(fingerprinted.fingerprint().has_value());
+  ASSERT_FALSE(probed.fingerprint().has_value());
+
+  const auto runAll = [&] {
+    obs::MetricsRegistry registry;
+    engine::EngineOptions options;
+    options.metrics = &registry;
+    options.threads = 2;
+    engine::AnalysisEngine eng(options);
+    std::vector<engine::AnalysisResponse> responses;
+    for (const dtmc::Model* model :
+         std::vector<const dtmc::Model*>{&fingerprinted, &probed}) {
+      engine::AnalysisRequest request;
+      request.model = model;
+      request.properties = {"R=? [ I=7 ]", "R=? [ C<=9 ]"};
+      for (int pass = 0; pass < 2; ++pass) {
+        responses.push_back(eng.analyze(request));
+        const engine::PhaseTiming& t = responses.back().timing;
+        EXPECT_GE(t.keySeconds, 0.0);
+        EXPECT_LE(t.keySeconds, t.totalSeconds);
+      }
+    }
+    return responses;
+  };
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.setEnabled(false);
+  const auto off = runAll();
+  tracer.clear();
+  tracer.setEnabled(true);
+  const auto on = runAll();
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  tracer.setEnabled(false);
+  tracer.clear();
+
+  const auto count = [&](const std::string& name) {
+    return std::count_if(
+        events.begin(), events.end(),
+        [&](const obs::TraceEvent& e) { return e.name == name; });
+  };
+  EXPECT_EQ(count("engine.key"), 4);
+  EXPECT_EQ(count("dtmc.signature"), 2);  // only the probed model's requests
+  ASSERT_EQ(off.size(), on.size());
+  for (std::size_t r = 0; r < off.size(); ++r) {
+    EXPECT_EQ(off[r].modelKey, on[r].modelKey);
+    EXPECT_EQ(off[r].cacheHit, on[r].cacheHit);
+    ASSERT_EQ(off[r].results.size(), on[r].results.size());
+    for (std::size_t i = 0; i < off[r].results.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&off[r].results[i].value, &on[r].results[i].value,
+                            sizeof(double)),
+                0)
+          << "request " << r << " property " << i;
+    }
+  }
 }
 
 // --------------------------------------------- engine latency percentiles
