@@ -92,7 +92,10 @@ dtmc::ExplicitDtmc randomChain(const Config& config) {
     raw.rowPtr.push_back(raw.col.size());
   }
   raw.initial.assign(config.states, 1.0 / config.states);
-  raw.states.assign(config.states, dtmc::State{});
+  raw.keys.resize(config.states * raw.layout.words());
+  for (std::uint32_t s = 0; s < config.states; ++s) {
+    (void)raw.layout.packInto({}, raw.keys.data() + s * raw.layout.words());
+  }
   return dtmc::ExplicitDtmc::fromRaw(std::move(raw));
 }
 

@@ -34,8 +34,10 @@ ReductionVerdict verifyReduction(const dtmc::Model& fullModel,
     std::unordered_map<dtmc::State, std::uint32_t, util::VecI32Hash> blockIds;
     // lint:allow(reduction-boundary: builds the partition handed to lump::)
     std::vector<std::uint32_t> blockOf(full.dtmc.numStates());
+    dtmc::State state;
     for (std::uint32_t s = 0; s < full.dtmc.numStates(); ++s) {
-      const dtmc::State abstracted = abstraction(full.dtmc.state(s));
+      full.dtmc.stateInto(s, state);
+      const dtmc::State abstracted = abstraction(state);
       auto [it, inserted] = blockIds.try_emplace(
           abstracted, static_cast<std::uint32_t>(blockIds.size()));
       // lint:allow(reduction-boundary: builds the partition handed to lump::)

@@ -235,11 +235,7 @@ BuildResult buildExplicit(const Model& model, const BuildOptions& options) {
     MS_LOG_WARN("buildExplicit: worst transition-mass deviation %.3e",
                 x.worstMassDeviation);
   }
-  raw.states.resize(x.numStates);
-  for (std::size_t s = 0; s < raw.states.size(); ++s) {
-    x.layout.unpackInto(x.keys.data() + s * x.layout.words(), raw.states[s]);
-  }
-  x.keys = {};
+  raw.keys = std::move(x.keys);
   raw.initial.assign(x.numStates, 0.0);
   const double w = 1.0 / static_cast<double>(x.initial.size());
   for (const std::uint32_t id : x.initial) raw.initial[id] += w;

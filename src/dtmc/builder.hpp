@@ -10,8 +10,11 @@
 // into a signature hash (row length, probability bits, target ids) and, for
 // a build, appended straight to the CSR arrays. Probe and build thus hash
 // the same stream: with probFloor 0, BuildResult::signature ==
-// modelSignature(model).hash. The BFS depth at which no new states appear
-// is PRISM's "reachability iterations" (RI) of the paper's Tables III-V.
+// modelSignature(model).hash. A build hands its key table over as the
+// ExplicitDtmc's state table without decoding it (see explicit_dtmc.hpp for
+// the decode-on-demand accessors). The BFS depth at which no new states
+// appear is PRISM's "reachability iterations" (RI) of the paper's Tables
+// III-V.
 #pragma once
 
 #include <cstdint>

@@ -14,8 +14,10 @@ ExplicitDtmc ExplicitDtmc::fromRaw(Raw raw, la::KeepOrientation keep) {
   const auto numStates = static_cast<std::uint32_t>(raw.rowPtr.size() - 1);
   d.matrix_ = la::CsrMatrix::fromCsr(std::move(raw.rowPtr), std::move(raw.col),
                                      std::move(raw.val), numStates, keep);
+  assert(raw.keys.size() ==
+         static_cast<std::size_t>(numStates) * raw.layout.words());
   d.initial_ = std::move(raw.initial);
-  d.states_ = std::move(raw.states);
+  d.keys_ = std::move(raw.keys);
   d.layout_ = std::move(raw.layout);
   return d;
 }
@@ -23,8 +25,10 @@ ExplicitDtmc ExplicitDtmc::fromRaw(Raw raw, la::KeepOrientation keep) {
 la::BitVector ExplicitDtmc::evalAtom(const Model& model,
                                      std::string_view name) const {
   la::BitVector truth(numStates());
+  State s;
   for (std::uint32_t i = 0; i < numStates(); ++i) {
-    if (model.atom(states_[i], name)) truth.set(i);
+    stateInto(i, s);
+    if (model.atom(s, name)) truth.set(i);
   }
   return truth;
 }
@@ -32,8 +36,10 @@ la::BitVector ExplicitDtmc::evalAtom(const Model& model,
 std::vector<double> ExplicitDtmc::evalReward(const Model& model,
                                              std::string_view name) const {
   std::vector<double> reward(numStates());
+  State s;
   for (std::uint32_t i = 0; i < numStates(); ++i) {
-    reward[i] = model.stateReward(states_[i], name);
+    stateInto(i, s);
+    reward[i] = model.stateReward(s, name);
   }
   return reward;
 }

@@ -1,6 +1,12 @@
 // Explicit-state DTMC: the transition matrix as an owned la::CsrMatrix
-// (blocked layout + stable transpose) plus the decoded state table, initial
+// (blocked layout + stable transpose) plus the packed state table, initial
 // distribution, and the model-facing atom/reward evaluation hooks.
+//
+// The state table is the exploration's own key table: varLayout().words()
+// uint64 words per state, in state-id order, with no per-state heap object.
+// States are decoded on demand — state(i) returns a fresh State,
+// stateInto(i, s) refills a caller's scratch State in loops, and
+// varValue(i, v) reads one field straight from the key.
 //
 // All numeric access goes through the la:: layer: multiplyLeft/multiplyRight
 // are thin forwarders to la::spmvLeft/la::spmv and accept an optional
@@ -52,16 +58,30 @@ class ExplicitDtmc {
   /// Variable layout of the source model.
   [[nodiscard]] const VarLayout& varLayout() const { return layout_; }
 
-  /// Decoded state table (index -> variable assignment).
-  [[nodiscard]] const std::vector<State>& states() const { return states_; }
-  [[nodiscard]] const State& state(std::uint32_t idx) const {
-    return states_[idx];
+  /// Packed state table: varLayout().words() words per state, id order.
+  [[nodiscard]] const std::vector<std::uint64_t>& keys() const {
+    return keys_;
+  }
+  /// Packed key of state `idx` (varLayout().words() words).
+  [[nodiscard]] const std::uint64_t* key(std::uint32_t idx) const {
+    return keys_.data() + idx * layout_.words();
   }
 
-  /// Value of variable `varIdx` in state `stateIdx`.
+  /// State `idx`, decoded from its key.
+  [[nodiscard]] State state(std::uint32_t idx) const {
+    State s;
+    stateInto(idx, s);
+    return s;
+  }
+  /// Decodes state `idx` into `s`, reusing its storage.
+  void stateInto(std::uint32_t idx, State& s) const {
+    layout_.unpackInto(key(idx), s);
+  }
+
+  /// Value of variable `varIdx` in state `stateIdx`, read from the key.
   [[nodiscard]] std::int32_t varValue(std::uint32_t stateIdx,
                                       std::size_t varIdx) const {
-    return states_[stateIdx][varIdx];
+    return layout_.valueAt(key(stateIdx), varIdx);
   }
 
   /// Per-state truth set of an atomic proposition (packed, one bit per
@@ -92,7 +112,8 @@ class ExplicitDtmc {
     std::vector<std::uint32_t> col;
     std::vector<double> val;
     std::vector<double> initial;
-    std::vector<State> states;
+    /// layout.words() words per state (VarLayout::packInto), id order.
+    std::vector<std::uint64_t> keys;
     VarLayout layout;
   };
   /// `keep` controls which CSR orientations stay resident (see
@@ -105,7 +126,7 @@ class ExplicitDtmc {
  private:
   la::CsrMatrix matrix_;
   std::vector<double> initial_;
-  std::vector<State> states_;
+  std::vector<std::uint64_t> keys_;
   VarLayout layout_;
 };
 

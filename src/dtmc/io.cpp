@@ -29,9 +29,10 @@ void writeSta(const ExplicitDtmc& dtmc, std::ostream& os) {
     os << vars[i].name;
   }
   os << ")\n";
+  State st;
   for (std::uint32_t s = 0; s < dtmc.numStates(); ++s) {
     os << s << ":(";
-    const State& st = dtmc.state(s);
+    dtmc.stateInto(s, st);
     for (std::size_t i = 0; i < st.size(); ++i) {
       if (i != 0) os << ',';
       os << st[i];
@@ -63,10 +64,12 @@ void writeLab(const ExplicitDtmc& dtmc, const Model& model,
     os << i << "=\"" << labels[i] << '"';
   }
   os << '\n';
+  State st;
   for (std::uint32_t s = 0; s < dtmc.numStates(); ++s) {
+    dtmc.stateInto(s, st);
     bool any = false;
     for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (model.atom(dtmc.state(s), labels[i])) {
+      if (model.atom(st, labels[i])) {
         if (!any) {
           os << s << ':';
           any = true;
@@ -81,8 +84,10 @@ void writeLab(const ExplicitDtmc& dtmc, const Model& model,
 void writeSrew(const ExplicitDtmc& dtmc, const Model& model,
                std::string_view rewardName, std::ostream& os) {
   std::vector<std::pair<std::uint32_t, double>> nonzero;
+  State st;
   for (std::uint32_t s = 0; s < dtmc.numStates(); ++s) {
-    const double r = model.stateReward(dtmc.state(s), rewardName);
+    dtmc.stateInto(s, st);
+    const double r = model.stateReward(st, rewardName);
     if (r != 0.0) nonzero.emplace_back(s, r);
   }
   os.precision(std::numeric_limits<double>::max_digits10);
@@ -155,7 +160,7 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
         current.push_back(c);
       }
     }
-    raw.states.assign(numStates, State(names.size(), 0));
+    std::vector<State> states(numStates, State(names.size(), 0));
     std::vector<VarSpec> specs;
     for (const auto& name : names) {
       specs.push_back({name, std::numeric_limits<std::int32_t>::max(),
@@ -173,7 +178,7 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
       if (idx >= numStates) {
         throw std::runtime_error("readTra: .sta state index out of range");
       }
-      State& state = raw.states[idx];
+      State& state = states[idx];
       std::size_t var = 0;
       std::string token;
       for (std::size_t i = colon + 1; i < line.size(); ++i) {
@@ -196,20 +201,26 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
         throw std::runtime_error("readTra: wrong arity in .sta line");
       }
     }
-    for (std::uint32_t s = 0; s < numStates; ++s) {
+    for (const State& state : states) {
       for (std::size_t v = 0; v < specs.size(); ++v) {
-        specs[v].lo = std::min(specs[v].lo, raw.states[s][v]);
-        specs[v].hi = std::max(specs[v].hi, raw.states[s][v]);
+        specs[v].lo = std::min(specs[v].lo, state[v]);
+        specs[v].hi = std::max(specs[v].hi, state[v]);
       }
     }
     raw.layout = VarLayout(specs);
+    raw.keys.resize(states.size() * raw.layout.words());
+    for (std::size_t s = 0; s < states.size(); ++s) {
+      // Every value lies inside the ranges just taken from the table.
+      (void)raw.layout.packInto(states[s],
+                                raw.keys.data() + s * raw.layout.words());
+    }
   } else {
     // No state file: identity state table over one index variable.
     raw.layout = VarLayout(
         {{"s", 0, static_cast<std::int32_t>(numStates) - 1}});
-    raw.states.reserve(numStates);
+    raw.keys.resize(numStates);
     for (std::uint32_t s = 0; s < numStates; ++s) {
-      raw.states.push_back({static_cast<std::int32_t>(s)});
+      (void)raw.layout.packInto({static_cast<std::int32_t>(s)}, &raw.keys[s]);
     }
   }
   return ExplicitDtmc::fromRaw(std::move(raw));

@@ -25,6 +25,12 @@ struct Transition {
   State target;
 };
 
+/// Thread safety: transitions(), atom(), stateReward() and fingerprint()
+/// are const and may be called concurrently on one model object — smc::
+/// samples paths from engine pool threads, and the engine evaluates masks
+/// and rewards while sibling requests explore the same model. An
+/// implementation must not mutate shared state from them (or must guard
+/// what it caches).
 class Model {
  public:
   virtual ~Model() = default;
@@ -72,19 +78,28 @@ class Model {
 /// drop entries below `floor` and rescale the rest to the pre-floor mass,
 /// which it returns. normalizeTransitions runs it on State targets, the
 /// explicit builder on packed keys — the same order, hence the same sums.
+/// A strictly increasing row (distinct targets already in order, as every
+/// MIMO detector row is) has one sorted order and nothing to merge, so it
+/// skips both steps with a bit-identical result.
 template <typename Entry, typename Less>
 double normalizeRow(std::vector<Entry>& row, double floor, Less less) {
   if (row.empty()) return 0.0;
-  std::sort(row.begin(), row.end(), less);
-  std::size_t last = 0;
-  for (std::size_t i = 1; i < row.size(); ++i) {
-    if (!less(row[last], row[i])) {
-      row[last].prob += row[i].prob;
-    } else if (++last != i) {
-      row[last] = std::move(row[i]);
-    }
+  std::size_t ordered = 1;
+  while (ordered < row.size() && less(row[ordered - 1], row[ordered])) {
+    ++ordered;
   }
-  row.resize(last + 1);
+  if (ordered < row.size()) {
+    std::sort(row.begin(), row.end(), less);
+    std::size_t last = 0;
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      if (!less(row[last], row[i])) {
+        row[last].prob += row[i].prob;
+      } else if (++last != i) {
+        row[last] = std::move(row[i]);
+      }
+    }
+    row.resize(last + 1);
+  }
   double mass = 0.0;
   for (const Entry& e : row) mass += e.prob;
   if (floor > 0.0) {

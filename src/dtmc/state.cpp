@@ -15,19 +15,30 @@ int bitsFor(std::int64_t rangeSize) {
 }  // namespace
 
 VarLayout::VarLayout(const std::vector<VarSpec>& vars) : vars_(vars) {
-  bitWidth_.reserve(vars_.size());
+  std::vector<int> width;
+  width.reserve(vars_.size());
   for (const auto& v : vars_) {
     assert(v.hi >= v.lo);
-    bitWidth_.push_back(bitsFor(v.rangeSize()));
-    totalBits_ += bitWidth_.back();
+    width.push_back(bitsFor(v.rangeSize()));
+    totalBits_ += width.back();
   }
-  // Variable 0 takes the most significant field; empty fields sit at 0,
-  // where they never touch the key.
-  bitOffset_.reserve(vars_.size());
-  int offset = totalBits_;
-  for (const int width : bitWidth_) {
-    offset -= width;
-    bitOffset_.push_back(width == 0 ? 0 : offset);
+  words_ = totalBits_ > 64 ? (static_cast<std::size_t>(totalBits_) + 63) / 64
+                           : 1;
+  // Variable 0 takes the most significant field; empty fields sit at bit 0
+  // of the last word, where they never touch the key.
+  fields_.reserve(vars_.size());
+  int offset = totalBits_;  // counted from the key's lowest bit
+  for (std::size_t i = 0; i < vars_.size(); ++i) {
+    offset -= width[i];
+    const int low = width[i] == 0 ? 0 : offset;
+    Field f;
+    f.lo = vars_[i].lo;
+    f.hi = vars_[i].hi;
+    f.mask = (std::uint64_t{1} << width[i]) - 1;
+    f.word = static_cast<std::uint32_t>(words_ - 1 - low / 64);
+    f.shift = static_cast<std::uint8_t>(low % 64);
+    f.spill = low % 64 + width[i] > 64;
+    fields_.push_back(f);
   }
 }
 
@@ -45,33 +56,22 @@ std::size_t VarLayout::tryIndexOf(const std::string& name) const {
 }
 
 std::size_t VarLayout::packInto(const State& s, std::uint64_t* key) const {
-  const std::size_t last = words() - 1;  // the least significant word
-  std::fill(key, key + last + 1, 0);
-  if (s.size() != vars_.size()) return vars_.size();
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    if (s[i] < vars_[i].lo || s[i] > vars_[i].hi) return i;
-    const auto rel = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(s[i]) - vars_[i].lo);
-    const int word = bitOffset_[i] / 64;
-    const int shift = bitOffset_[i] % 64;
-    key[last - word] |= rel << shift;
-    if (shift + bitWidth_[i] > 64) key[last - word - 1] |= rel >> (64 - shift);
+  std::fill(key, key + words_, 0);
+  if (s.size() != fields_.size()) return fields_.size();
+  for (std::size_t i = 0; i < fields_.size(); ++i) {
+    const Field& f = fields_[i];
+    if (s[i] < f.lo || s[i] > f.hi) return i;
+    const auto rel =
+        static_cast<std::uint64_t>(static_cast<std::int64_t>(s[i]) - f.lo);
+    key[f.word] |= rel << f.shift;
+    if (f.spill) key[f.word - 1] |= rel >> (64 - f.shift);
   }
   return npos;
 }
 
 void VarLayout::unpackInto(const std::uint64_t* key, State& s) const {
-  const std::size_t last = words() - 1;
-  s.resize(vars_.size());
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    const int word = bitOffset_[i] / 64;
-    const int shift = bitOffset_[i] % 64;
-    std::uint64_t rel = key[last - word] >> shift;
-    if (shift + bitWidth_[i] > 64) rel |= key[last - word - 1] << (64 - shift);
-    rel &= (1ULL << bitWidth_[i]) - 1;  // widths never exceed 32 bits
-    s[i] = static_cast<std::int32_t>(vars_[i].lo +
-                                     static_cast<std::int64_t>(rel));
-  }
+  s.resize(fields_.size());
+  for (std::size_t i = 0; i < fields_.size(); ++i) s[i] = valueAt(key, i);
 }
 
 double VarLayout::potentialStateCount() const {

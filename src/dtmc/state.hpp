@@ -48,14 +48,20 @@ class VarLayout {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   /// Words per packed key (at least 1).
-  [[nodiscard]] std::size_t words() const {
-    return totalBits_ > 64 ? (static_cast<std::size_t>(totalBits_) + 63) / 64
-                           : 1;
-  }
+  [[nodiscard]] std::size_t words() const { return words_; }
   /// Packs `s` into words() words at `key`. Returns npos, or the first
   /// variable outside its declared range (numVars(): wrong arity).
   [[nodiscard]] std::size_t packInto(const State& s, std::uint64_t* key) const;
   void unpackInto(const std::uint64_t* key, State& s) const;
+  /// Value of variable `var` in the packed key at `key`.
+  [[nodiscard]] std::int32_t valueAt(const std::uint64_t* key,
+                                     std::size_t var) const {
+    const Field& f = fields_[var];
+    std::uint64_t rel = key[f.word] >> f.shift;
+    if (f.spill) rel |= key[f.word - 1] << (64 - f.shift);
+    return static_cast<std::int32_t>(f.lo + static_cast<std::int64_t>(
+                                                rel & f.mask));
+  }
   /// Single-word forms (fitsInU64() layouts, in-range states).
   [[nodiscard]] std::uint64_t pack(const State& s) const {
     std::uint64_t key = 0;
@@ -74,11 +80,21 @@ class VarLayout {
   [[nodiscard]] double potentialStateCount() const;
 
  private:
+  /// One variable's place in the key, precomputed so packing and decoding
+  /// never touch VarSpec (which carries the name).
+  struct Field {
+    std::int32_t lo = 0;
+    std::int32_t hi = 0;
+    std::uint64_t mask = 0;  ///< (1 << width) - 1; widths never exceed 32
+    std::uint32_t word = 0;  ///< key word holding the field's low bits
+    std::uint8_t shift = 0;  ///< the field's lowest bit within that word
+    bool spill = false;      ///< the high bits continue in key[word - 1]
+  };
+
   std::vector<VarSpec> vars_;
-  std::vector<int> bitWidth_;
-  /// Each field's lowest bit, counted from the key's lowest bit.
-  std::vector<int> bitOffset_;
+  std::vector<Field> fields_;
   int totalBits_ = 0;
+  std::size_t words_ = 1;
 };
 
 /// Render a state as "var=value, ..." for diagnostics.

@@ -1,11 +1,12 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <utility>
-
-#include <cstring>
 
 #include "dtmc/signature.hpp"
 #include "mc/checker.hpp"
@@ -32,6 +33,24 @@ void applyRewardBound(const pctl::RewardQuery& rq, AnalysisResult& result) {
   if (!rq.isQuery) {
     result.satisfied = pctl::evalCmp(rq.boundOp, result.value, rq.boundValue);
   }
+}
+
+/// Result-level range check: a P-value must be finite and inside [0, 1] up
+/// to 1e-9 (the builder's mass tolerance), a reward value finite. Returns
+/// the property's error, or an empty string when the value stands as is.
+std::string rangeError(const pctl::Property& property, double value) {
+  const bool prob = property.kind == pctl::Property::Kind::kProb;
+  constexpr double kSlack = 1e-9;
+  if (std::isfinite(value) &&
+      (!prob || (value >= -kSlack && value <= 1.0 + kSlack))) {
+    return {};
+  }
+  char text[96];
+  std::snprintf(text, sizeof text,
+                prob ? "probability %.17g lies outside [0, 1]"
+                     : "reward value %.17g is not finite",
+                value);
+  return text;
 }
 
 stats::Interval meanInterval95(const stats::RunningStats& stats) {
@@ -84,13 +103,11 @@ const char* backendName(Backend backend) {
 }
 
 std::uint64_t approxDtmcBytes(const dtmc::ExplicitDtmc& dtmc) {
-  const std::uint64_t states = dtmc.numStates();
-  const std::uint64_t vars = dtmc.varLayout().numVars();
   // CSR arrays (including the stable transpose and block tables, via the
-  // matrix's own accounting); initial distribution; one heap-allocated
-  // int32 vector per decoded state.
-  return dtmc.matrix().approxBytes() + states * sizeof(double) +
-         states * (sizeof(dtmc::State) + vars * sizeof(std::int32_t));
+  // matrix's own accounting); initial distribution; packed state keys.
+  return dtmc.matrix().approxBytes() +
+         dtmc.initialDistribution().size() * sizeof(double) +
+         dtmc.keys().size() * sizeof(std::uint64_t);
 }
 
 AnalysisEngine::AnalysisEngine(EngineOptions options)
@@ -695,6 +712,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
       result.error = check.error;
       continue;
     }
+    result.error = rangeError(planned[j], check.value);
     result.value = check.value;
     result.satisfied = check.satisfied;
     result.batched = check.batched;
@@ -811,6 +829,9 @@ AnalysisResponse AnalysisEngine::analyzeSampling(const AnalysisRequest& request,
           result.error =
               "property requires the exact backend (bounded P-formulas, "
               "R=?[I=T] and R=?[C<=T] are estimable by sampling)";
+        }
+        if (result.error.empty()) {
+          result.error = rangeError(property, result.value);
         }
       } catch (const std::exception& e) {
         result.error = e.what();

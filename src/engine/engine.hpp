@@ -133,7 +133,7 @@ struct BuiltModel {
   double buildSeconds = 0.0;
   /// The cache key this entry is stored under.
   std::uint64_t signature = 0;
-  /// Approximate resident size of `dtmc` (CSR arrays + decoded state table
+  /// Approximate resident size of `dtmc` (CSR arrays + packed state keys
   /// + initial distribution) used for the cache's byte accounting.
   std::uint64_t approxBytes = 0;
   /// Set on quotient entries only: the block map and reduction counters of
@@ -144,7 +144,8 @@ struct BuiltModel {
   std::shared_ptr<const reduce::ReductionInfo> reduction;
 };
 
-/// Approximate resident bytes of an explicit DTMC (the BuiltModel/cache
+/// Approximate resident bytes of an explicit DTMC: CSR arrays, initial
+/// distribution and packed state keys (the BuiltModel/cache
 /// accounting unit).
 [[nodiscard]] std::uint64_t approxDtmcBytes(const dtmc::ExplicitDtmc& dtmc);
 

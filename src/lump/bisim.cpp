@@ -165,10 +165,13 @@ LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
     raw.initial[blockOf[s]] += dtmc.initialDistribution()[s];
   }
 
-  // Quotient state table: representatives (keeps VarCmp properties usable).
-  raw.states.reserve(result.partition.numBlocks);
+  // Quotient state table: the representatives' keys (keeps VarCmp
+  // properties usable).
+  const std::size_t words = raw.layout.words();
+  raw.keys.reserve(result.partition.numBlocks * words);
   for (std::uint32_t b = 0; b < result.partition.numBlocks; ++b) {
-    raw.states.push_back(dtmc.state(result.representative[b]));
+    const std::uint64_t* key = dtmc.key(result.representative[b]);
+    raw.keys.insert(raw.keys.end(), key, key + words);
   }
 
   result.quotient = dtmc::ExplicitDtmc::fromRaw(std::move(raw));

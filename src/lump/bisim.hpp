@@ -45,7 +45,7 @@ struct LumpResult {
 using InitialKeys = std::vector<std::uint64_t>;
 
 /// Coarsest lumping quotient respecting the initial keys.
-/// The quotient's states() table stores the representative original states,
+/// The quotient's state table holds the representatives' packed keys,
 /// and its VarLayout is inherited — so pCTL variable comparisons keep
 /// working on the quotient as long as the compared variables are constant
 /// within blocks (true whenever they are part of the initial keys).

@@ -13,6 +13,7 @@
 #include "dtmc/builder.hpp"
 #include "dtmc/signature.hpp"
 #include "engine/engine.hpp"
+#include "lump/bisim.hpp"
 #include "mimo/detector.hpp"
 #include "mimo/model.hpp"
 #include "pml/model.hpp"
@@ -41,15 +42,34 @@ void expectSameBytes(const std::vector<T>& expected, const std::vector<T>& got,
       << what << " differs";
 }
 
+/// Asserts that every state of `d` decodes — through state(), stateInto()
+/// and varValue() alike — to `expected`'s entry of the same index.
+void expectDecodes(const dtmc::ExplicitDtmc& d,
+                   const std::vector<dtmc::State>& expected) {
+  ASSERT_EQ(d.numStates(), expected.size());
+  ASSERT_EQ(d.keys().size(), d.numStates() * d.varLayout().words());
+  dtmc::State scratch;
+  for (std::uint32_t s = 0; s < d.numStates(); ++s) {
+    ASSERT_EQ(d.state(s), expected[s]) << "state " << s;
+    d.stateInto(s, scratch);
+    ASSERT_EQ(scratch, expected[s]) << "state " << s;
+    for (std::size_t v = 0; v < d.varLayout().numVars(); ++v) {
+      ASSERT_EQ(d.varValue(s, v), expected[s][v])
+          << "state " << s << ", variable " << v;
+    }
+  }
+}
+
 /// Builds `model` both ways and asserts byte-identical CSR (both
-/// orientations the options keep), initial distribution, state table and
-/// RI.
+/// orientations the options keep), initial distribution, packed keys and
+/// RI, and a decoded state table equal to the oracle's index by index.
 void expectMatchesOracle(const dtmc::Model& model,
                          const dtmc::BuildOptions& options = {}) {
   const test::ReferenceBuild oracle = test::referenceBuild(model, options);
   const dtmc::BuildResult built = dtmc::buildExplicit(model, options);
   EXPECT_EQ(built.reachabilityIterations, oracle.reachabilityIterations);
-  EXPECT_EQ(built.dtmc.states(), oracle.raw.states);
+  expectDecodes(built.dtmc, oracle.states);
+  expectSameBytes(oracle.raw.keys, built.dtmc.keys(), "keys");
   expectSameBytes(oracle.raw.initial, built.dtmc.initialDistribution(),
                   "initial");
 
@@ -257,6 +277,45 @@ TEST(ExploreOracle, TransposeOnly) {
   transposeOnly.orientation = la::KeepOrientation::kTransposeOnly;
   expectMatchesOracle(viterbi::ReducedViterbiModel(viterbi::ViterbiParams{}),
                       transposeOnly);
+}
+
+// --------------------------------------------------- decode on demand
+
+TEST(DecodeOnDemand, QuotientRepresentativesDecodeToTheirBaseStates) {
+  const WideModel wide;
+  const viterbi::ReducedViterbiModel viterbiModel(smallViterbiParams(4));
+  for (const dtmc::Model* model :
+       std::vector<const dtmc::Model*>{&wide, &viterbiModel}) {
+    const dtmc::BuildResult built = dtmc::buildExplicit(*model);
+    const dtmc::ExplicitDtmc& base = built.dtmc;
+    // Blocks keyed by variable 0's parity, so representatives differ.
+    lump::InitialKeys keys(base.numStates());
+    for (std::uint32_t s = 0; s < base.numStates(); ++s) {
+      keys[s] = static_cast<std::uint64_t>(base.varValue(s, 0) & 1);
+    }
+    const lump::LumpResult lumped = lump::lump(base, keys);
+    ASSERT_LT(lumped.quotient.numStates(), base.numStates());
+    std::vector<dtmc::State> expected;
+    for (const std::uint32_t rep : lumped.representative) {
+      expected.push_back(base.state(rep));
+    }
+    expectDecodes(lumped.quotient, expected);
+  }
+}
+
+TEST(DecodeOnDemand, ApproxBytesIsTheSumOfTheResidentArrays) {
+  const WideModel wide;
+  const viterbi::ReducedViterbiModel viterbiModel(smallViterbiParams(4));
+  for (const dtmc::Model* model :
+       std::vector<const dtmc::Model*>{&wide, &viterbiModel}) {
+    const dtmc::ExplicitDtmc d = dtmc::buildExplicit(*model).dtmc;
+    // CSR (both orientations, block tables), the initial distribution and
+    // words() key words per state — no per-state heap object.
+    const std::uint64_t perState =
+        sizeof(double) + d.varLayout().words() * sizeof(std::uint64_t);
+    EXPECT_EQ(engine::approxDtmcBytes(d),
+              d.matrix().approxBytes() + d.numStates() * perState);
+  }
 }
 
 // ------------------------------------------- probe, build and count agree

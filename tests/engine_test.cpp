@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -776,6 +778,146 @@ TEST(ThreadPool, NestedRunDoesNotDeadlock) {
   }
   pool.run(std::move(outer));
   EXPECT_EQ(counter.load(), 32);
+}
+
+// ------------------------------------------- result-level range check
+
+/// Responses to one exact request over `properties`, answered once by
+/// analyze and once by analyzeAll.
+std::vector<engine::AnalysisResponse> answerBothWays(
+    const dtmc::Model& model, std::vector<std::string> properties) {
+  engine::EngineOptions options;
+  options.threads = 2;
+  engine::AnalysisEngine eng(options);
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = std::move(properties);
+  request.options.backend = engine::Backend::kExact;
+  std::vector<engine::AnalysisResponse> responses{eng.analyze(request)};
+  for (engine::AnalysisResponse& r : eng.analyzeAll({request})) {
+    responses.push_back(std::move(r));
+  }
+  return responses;
+}
+
+void expectRangeError(const engine::AnalysisResult& result, double value,
+                      const char* what) {
+  EXPECT_FALSE(result.ok()) << result.property << " = " << result.value;
+  EXPECT_NE(result.error.find(what), std::string::npos) << result.error;
+  // The offending value stays visible next to the error.
+  if (std::isnan(value)) {
+    EXPECT_TRUE(std::isnan(result.value)) << result.property;
+  } else {
+    EXPECT_EQ(result.value, value) << result.property;
+  }
+}
+
+TEST(EngineRangeCheck, BoundedProbabilityAboveOneIsAnError) {
+  // Row mass 1.5: the builder only warns, the checker answers 1.5.
+  auto model = test::MatrixModel({{0.0, 1.5}, {0.0, 1.0}});
+  model.withLabel("done", {0, 1});
+  for (const engine::AnalysisResponse& response : answerBothWays(
+           model, {"P=? [ F<=3 \"done\" ]", "P>=0.5 [ F<=3 \"done\" ]",
+                   "P=? [ X \"done\" ]"})) {
+    ASSERT_TRUE(response.error.empty()) << response.error;
+    ASSERT_EQ(response.results.size(), 3u);
+    for (const engine::AnalysisResult& result : response.results) {
+      expectRangeError(result, 1.5, "outside [0, 1]");
+    }
+  }
+}
+
+TEST(EngineRangeCheck, UnboundedProbabilityAboveOneIsAnError) {
+  // State 0 keeps 0.5, sends 1.0 to "done" and 0.3 to a trap, so it is in
+  // neither graph-precomputed set and the solver answers x = 0.5x + 1 = 2.
+  auto model = test::MatrixModel(
+      {{0.5, 1.0, 0.3}, {0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}});
+  model.withLabel("done", {0, 1, 0});
+  for (const engine::AnalysisResponse& response :
+       answerBothWays(model, {"P=? [ F \"done\" ]"})) {
+    ASSERT_EQ(response.results.size(), 1u);
+    const engine::AnalysisResult& result = response.results[0];
+    EXPECT_FALSE(result.ok()) << result.value;
+    EXPECT_NE(result.error.find("outside [0, 1]"), std::string::npos)
+        << result.error;
+    EXPECT_GT(result.value, 1.0 + 1e-9);
+  }
+}
+
+TEST(EngineRangeCheck, NonFiniteTransientRewardIsAnError) {
+  // A single state keeping mass 1.5: pi_t = 1.5^t overflows before t=2000.
+  auto growing = test::MatrixModel(std::vector<std::vector<double>>{{1.5}});
+  growing.withRewards({1.0});
+  for (const engine::AnalysisResponse& response : answerBothWays(
+           growing, {"R=? [ I=2000 ]", "R=? [ C<=2000 ]", "R=? [ I=3 ]"})) {
+    ASSERT_EQ(response.results.size(), 3u);
+    expectRangeError(response.results[0],
+                     std::numeric_limits<double>::infinity(), "not finite");
+    expectRangeError(response.results[1],
+                     std::numeric_limits<double>::infinity(), "not finite");
+    // Finite rewards carry no range: 1.5^3 stands.
+    EXPECT_TRUE(response.results[2].ok()) << response.results[2].error;
+    EXPECT_EQ(response.results[2].value, 1.5 * 1.5 * 1.5);
+  }
+
+  // A NaN reward poisons every transient readout.
+  auto nanReward = test::twoStateChain(0.3, 0.4);
+  nanReward.withRewards({std::numeric_limits<double>::quiet_NaN(), 1.0});
+  for (const engine::AnalysisResponse& response : answerBothWays(
+           nanReward, {"R=? [ I=2 ]", "R=? [ C<=2 ]", "P=? [ F<=2 s=1 ]"})) {
+    ASSERT_EQ(response.results.size(), 3u);
+    expectRangeError(response.results[0],
+                     std::numeric_limits<double>::quiet_NaN(), "not finite");
+    expectRangeError(response.results[1],
+                     std::numeric_limits<double>::quiet_NaN(), "not finite");
+    EXPECT_TRUE(response.results[2].ok()) << response.results[2].error;
+  }
+
+  // The sampling backend applies the same check to its estimates.
+  engine::EngineOptions options;
+  options.threads = 2;
+  engine::AnalysisEngine eng(options);
+  engine::AnalysisRequest sampled;
+  sampled.model = &nanReward;
+  sampled.properties = {"R=? [ I=2 ]"};
+  sampled.options.backend = engine::Backend::kSampling;
+  const engine::AnalysisResponse response = eng.analyze(sampled);
+  ASSERT_EQ(response.results.size(), 1u);
+  expectRangeError(response.results[0],
+                   std::numeric_limits<double>::quiet_NaN(), "not finite");
+}
+
+TEST(EngineRangeCheck, InRangeValuesAreLeftUntouched) {
+  // Within the 1e-9 slack a value above 1 stands unclamped; past it, it is
+  // an error.
+  const double within = 1.0 + 4e-10;
+  auto slightlyOver = test::MatrixModel({{0.0, within}, {0.0, 1.0}});
+  slightlyOver.withLabel("done", {0, 1});
+  for (const engine::AnalysisResponse& response :
+       answerBothWays(slightlyOver, {"P=? [ F<=3 \"done\" ]"})) {
+    ASSERT_TRUE(response.ok()) << response.results.at(0).error;
+    EXPECT_EQ(response.results[0].value, within);
+  }
+  auto pastSlack = test::MatrixModel({{0.0, 1.0 + 4e-9}, {0.0, 1.0}});
+  pastSlack.withLabel("done", {0, 1});
+  for (const engine::AnalysisResponse& response :
+       answerBothWays(pastSlack, {"P=? [ F<=3 \"done\" ]"})) {
+    expectRangeError(response.results.at(0), 1.0 + 4e-9, "outside [0, 1]");
+  }
+
+  // A stochastic chain answers exactly what the checker does.
+  auto chain = test::twoStateChain(0.3, 0.4);
+  chain.withRewards({0.0, 1.0});
+  const std::vector<std::string> props = {"P=? [ F<=5 s=1 ]", "P=? [ F s=1 ]",
+                                          "R=? [ I=4 ]", "R=? [ C<=4 ]"};
+  const std::vector<double> reference = perCallReference(chain, props);
+  for (const engine::AnalysisResponse& response :
+       answerBothWays(chain, props)) {
+    ASSERT_TRUE(response.ok());
+    for (std::size_t i = 0; i < props.size(); ++i) {
+      EXPECT_EQ(response.results[i].value, reference[i]) << props[i];
+    }
+  }
 }
 
 }  // namespace

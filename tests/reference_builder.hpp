@@ -5,8 +5,9 @@
 // row normalization (independent of dtmc::normalizeRow) and kept as a
 // vector of rows until the CSR is assembled. Slow and memory-hungry, but
 // obviously correct — dtmc::buildExplicit's packed-key exploration must
-// reproduce its CSR arrays, initial distribution, state table and RI byte
-// for byte.
+// reproduce its CSR arrays, initial distribution, decoded state table and
+// RI byte for byte. The oracle keeps its states decoded and packs them
+// into Raw::keys only to hand the build to ExplicitDtmc::fromRaw.
 #pragma once
 
 #include <algorithm>
@@ -58,6 +59,8 @@ inline void referenceNormalize(std::vector<dtmc::Transition>& row,
 
 struct ReferenceBuild {
   dtmc::ExplicitDtmc::Raw raw;
+  /// The decoded state table, id order.
+  std::vector<dtmc::State> states;
   std::uint32_t reachabilityIterations = 0;
 };
 
@@ -122,7 +125,15 @@ inline ReferenceBuild referenceBuild(const dtmc::Model& model,
   raw.initial.assign(states.size(), 0.0);
   const double w = 1.0 / static_cast<double>(initialIdx.size());
   for (const auto idx : initialIdx) raw.initial[idx] += w;
-  raw.states = std::move(states);
+  const std::size_t words = raw.layout.words();
+  raw.keys.resize(states.size() * words);
+  for (std::size_t s = 0; s < states.size(); ++s) {
+    if (raw.layout.packInto(states[s], raw.keys.data() + s * words) !=
+        dtmc::VarLayout::npos) {
+      throw std::runtime_error("referenceBuild: value outside its range");
+    }
+  }
+  result.states = std::move(states);
   return result;
 }
 
