@@ -24,6 +24,7 @@
 #include "dtmc/explicit_dtmc.hpp"
 #include "dtmc/model.hpp"
 #include "la/csr_matrix.hpp"
+#include "la/exec.hpp"
 
 namespace mimostat::dtmc {
 
@@ -83,8 +84,21 @@ struct BuildResult {
 
 /// Build the reachable explicit DTMC for a model. Throws BuildError (a
 /// std::runtime_error) when the model is invalid or maxStates is exceeded.
+///
+/// With a runner in `exec` (only its runner is read), each BFS level of at
+/// least 64 states is expanded in waves of contiguous chunks on the runner:
+/// a chunk unpacks its states, calls Model::transitions (which must be
+/// safe to call concurrently, see model.hpp), validates, packs and
+/// normalizes their rows. The calling thread then merges the rows in id
+/// order — interning, signature folding, CSR appends — exactly as the
+/// serial BFS does, and rethrows a chunk's error only once every earlier
+/// row is merged. So the first error in BFS order wins (a kStateLimit on
+/// an earlier row beats a bad probability on a later one), and the
+/// result — every CSR and key byte, the signature and the RI — is
+/// identical with no runner and at any pool size.
 [[nodiscard]] BuildResult buildExplicit(const Model& model,
-                                        const BuildOptions& options = {});
+                                        const BuildOptions& options = {},
+                                        const la::Exec& exec = {});
 
 struct CountResult {
   std::uint64_t numStates = 0;

@@ -125,7 +125,9 @@ AnalysisEngine::AnalysisEngine(EngineOptions options)
       buildCounter_(metrics_->counter("engine.builds")),
       cacheHitCounter_(metrics_->counter("engine.cache_hits")),
       quotientBuildCounter_(metrics_->counter("engine.quotient_builds")),
-      quotientHitCounter_(metrics_->counter("engine.quotient_hits")) {}
+      quotientHitCounter_(metrics_->counter("engine.quotient_hits")) {
+  if (options_.parallelLinearAlgebra) poolExec_.runner = laRunnerFor(pool_);
+}
 
 AnalysisEngine::~AnalysisEngine() = default;
 
@@ -252,7 +254,8 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
   }
 
   try {
-    dtmc::BuildResult build = dtmc::buildExplicit(model, buildOptions);
+    dtmc::BuildResult build =
+        dtmc::buildExplicit(model, buildOptions, poolExec_);
     auto built = std::make_shared<BuiltModel>();
     built->dtmc = std::move(build.dtmc);
     built->reachabilityIterations = build.reachabilityIterations;
@@ -322,7 +325,8 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::quotientFor(
 
   try {
     reduce::ReducedModel reduced =
-        reduce::buildQuotient(full.dtmc, masks, rewards, reduction);
+        reduce::buildQuotient(full.dtmc, masks, rewards, reduction,
+                              poolExec_);
     auto built = std::make_shared<BuiltModel>();
     built->signature = quotientKey;
     built->reachabilityIterations = full.reachabilityIterations;
@@ -506,7 +510,8 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
     if (needsForward) {
       dtmc::BuildOptions upgraded = request.options.build;
       upgraded.orientation = la::KeepOrientation::kBoth;
-      dtmc::BuildResult rebuild = dtmc::buildExplicit(*request.model, upgraded);
+      dtmc::BuildResult rebuild =
+          dtmc::buildExplicit(*request.model, upgraded, poolExec_);
       auto replacement = std::make_shared<BuiltModel>();
       replacement->dtmc = std::move(rebuild.dtmc);
       replacement->reachabilityIterations = rebuild.reachabilityIterations;

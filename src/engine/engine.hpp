@@ -75,8 +75,10 @@ struct EngineOptions {
   /// pctl::PropertyCache::global() (shared with every mc::Checker).
   pctl::PropertyCache* propertyCache = nullptr;
   /// Fan la:: kernels (transient multiplies, power iteration, Jacobi
-  /// sweeps) out over the engine pool on the exact backend. Results are
-  /// bit-identical at any pool size, so this is purely a throughput knob.
+  /// sweeps), the explicit build's BFS expansion and the quotient's
+  /// signature rounds out over the engine pool on the exact backend.
+  /// Results are bit-identical at any pool size, so this is purely a
+  /// throughput knob.
   /// A runner the request brings in RequestOptions::check.exec wins over
   /// the engine's.
   bool parallelLinearAlgebra = true;
@@ -240,6 +242,10 @@ class AnalysisEngine {
   pctl::PropertyCache* propertyCache_;
   /// Internally synchronized. lint:allow(guarded-by: owns its own mutex)
   ThreadPool pool_;
+  /// pool_ as the runner of explicit builds and quotient refinements; no
+  /// runner when parallelLinearAlgebra is off. Set in the constructor.
+  /// lint:allow(guarded-by: constructor-initialized, read-only after)
+  la::Exec poolExec_;
   /// Resolved once in the constructor; handles are internally synchronized
   /// sharded atomics. lint:allow(guarded-by: constructor-initialized, read-only after)
   obs::MetricsRegistry* metrics_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <unordered_map>
 
 #include "obs/trace.hpp"
@@ -11,6 +12,9 @@
 namespace mimostat::lump {
 
 namespace {
+
+/// Chunks of one parallel signature round (see lump()).
+constexpr std::size_t kChunks = 12;
 
 /// Hash of a state's signature: sorted (target block, bucketed prob) pairs,
 /// merged per block.
@@ -84,45 +88,70 @@ InitialKeys keysFromMasksAndRewards(
   return keys;
 }
 
-LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
-                const LumpOptions& options) {
+LumpResult lump(const dtmc::ExplicitDtmc& dtmc, InitialKeys keys,
+                const LumpOptions& options, const la::Exec& exec) {
   obs::Span span("lump.bisim");
   const std::uint32_t n = dtmc.numStates();
-  assert(initialKeys.size() == n);
+  assert(keys.size() == n);
 
   LumpResult result;
   std::vector<std::uint32_t>& blockOf = result.partition.blockOf;
   blockOf.assign(n, 0);
 
-  // Initial partition from the keys.
-  {
+  // Block ids in ascending state order of first appearance, so the block
+  // map does not depend on how the keys were computed. The keys already
+  // hold everything the new ids depend on, so blockOf is rewritten in
+  // place.
+  const auto assignBlocks = [&](std::size_t expected) {
     std::unordered_map<std::uint64_t, std::uint32_t> blockIds;
+    blockIds.reserve(expected);
     for (std::uint32_t s = 0; s < n; ++s) {
       auto [it, inserted] = blockIds.try_emplace(
-          initialKeys[s], static_cast<std::uint32_t>(blockIds.size()));
+          keys[s], static_cast<std::uint32_t>(blockIds.size()));
       blockOf[s] = it->second;
     }
-    result.partition.numBlocks = static_cast<std::uint32_t>(blockIds.size());
-  }
+    return static_cast<std::uint32_t>(blockIds.size());
+  };
 
-  // Signature refinement to fixpoint.
-  std::vector<std::pair<std::uint32_t, double>> scratch;
-  std::vector<std::uint32_t> newBlockOf(n);
-  for (std::uint32_t round = 0; round < options.maxRefinementRounds; ++round) {
-    ++result.refinementRounds;
-    std::unordered_map<std::uint64_t, std::uint32_t> blockIds;
-    blockIds.reserve(result.partition.numBlocks * 2);
-    for (std::uint32_t s = 0; s < n; ++s) {
+  // Initial partition from the keys.
+  result.partition.numBlocks = assignBlocks(0);
+
+  // Signature refinement to fixpoint. Each round's (block, signature) keys
+  // overwrite the initial keys' storage; with a runner they are computed in
+  // chunks of about equal nonzeros, each chunk with its own scratch.
+  const auto& rowPtr = dtmc.rowPtr();
+  const std::size_t chunks =
+      exec.parallelFor(dtmc.numTransitions()) ? kChunks : 1;
+  std::vector<std::uint32_t> chunkBegin(chunks + 1, n);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::uint64_t nnz = dtmc.numTransitions() * c / chunks;
+    chunkBegin[c] = static_cast<std::uint32_t>(
+        std::lower_bound(rowPtr.begin(), rowPtr.end() - 1, nnz) -
+        rowPtr.begin());
+  }
+  const auto signChunk = [&](std::size_t c) {
+    // Task-local: neighbouring chunks' scratch would share cache lines.
+    std::vector<std::pair<std::uint32_t, double>> scratch;
+    for (std::uint32_t s = chunkBegin[c]; s < chunkBegin[c + 1]; ++s) {
       const std::uint64_t sig =
           signatureHash(dtmc, s, blockOf, options.probResolution, scratch);
-      const std::uint64_t key =
-          util::hashCombine(util::mix64(blockOf[s]), sig);
-      auto [it, inserted] =
-          blockIds.try_emplace(key, static_cast<std::uint32_t>(blockIds.size()));
-      newBlockOf[s] = it->second;
+      keys[s] = util::hashCombine(util::mix64(blockOf[s]), sig);
     }
-    const auto newCount = static_cast<std::uint32_t>(blockIds.size());
-    blockOf.swap(newBlockOf);
+  };
+  std::vector<std::function<void()>> tasks;
+  for (std::uint32_t round = 0; round < options.maxRefinementRounds; ++round) {
+    ++result.refinementRounds;
+    if (chunks == 1) {
+      signChunk(0);
+    } else {
+      tasks.clear();
+      for (std::size_t c = 0; c < chunks; ++c) {
+        tasks.emplace_back([&signChunk, c] { signChunk(c); });
+      }
+      exec.runner(std::move(tasks));
+    }
+    const std::uint32_t newCount =
+        assignBlocks(std::size_t{result.partition.numBlocks} * 2);
     if (newCount == result.partition.numBlocks) break;
     result.partition.numBlocks = newCount;
   }

@@ -15,6 +15,7 @@
 
 #include "dtmc/explicit_dtmc.hpp"
 #include "la/bit_vector.hpp"
+#include "la/exec.hpp"
 
 namespace mimostat::lump {
 
@@ -49,9 +50,18 @@ using InitialKeys = std::vector<std::uint64_t>;
 /// and its VarLayout is inherited — so pCTL variable comparisons keep
 /// working on the quotient as long as the compared variables are constant
 /// within blocks (true whenever they are part of the initial keys).
+///
+/// `initialKeys` is taken by value: its storage is reused for each
+/// refinement round's per-state (block, signature) keys (move it in to
+/// avoid a copy). When `exec` fans out over the model's nonzeros
+/// (la::Exec::parallelFor), each round computes those keys in chunks on
+/// its runner; block ids are then assigned serially in ascending state
+/// order, so the partition, the representatives and the quotient are
+/// byte-identical with no runner and at any pool size.
 [[nodiscard]] LumpResult lump(const dtmc::ExplicitDtmc& dtmc,
-                              const InitialKeys& initialKeys,
-                              const LumpOptions& options = {});
+                              InitialKeys initialKeys,
+                              const LumpOptions& options = {},
+                              const la::Exec& exec = {});
 
 /// Initial keys from a reward vector (bucketed) and optional packed label
 /// sets (one la::BitVector per label, one bit per state).

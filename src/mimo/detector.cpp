@@ -1,10 +1,11 @@
 #include "mimo/detector.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "comm/channel.hpp"
 
@@ -40,13 +41,6 @@ MimoParams mimo1x4Params() {
   return p;
 }
 
-MlDetector::MlDetector(const MimoParams& params)
-    : params_(params),
-      hQuant_(params.hLevels, params.hRange),
-      yQuant_(params.yLevels, params.yRange) {
-  assert(params_.nr >= 1);
-}
-
 namespace {
 
 /// Per-block residual |y_b - sum_k h_{b,k} bpsk(s_k)| for hypothesis s.
@@ -59,6 +53,41 @@ double blockResidual(double y, const double* h, int nt, int hypothesis) {
 }
 
 }  // namespace
+
+MlDetector::MlDetector(const MimoParams& params)
+    : params_(params),
+      hQuant_(params.hLevels, params.hRange),
+      yQuant_(params.yLevels, params.yRange) {
+  if (params_.nr < 1 || params_.nr > kMaxBlocks || params_.nt < 1 ||
+      params_.nt > kMaxBlocks) {
+    throw std::invalid_argument("MlDetector: nr and nt must lie in [1, " +
+                                std::to_string(kMaxBlocks) + "]");
+  }
+  const int nt = params_.nt;
+  const int hypotheses = params_.numHypotheses();
+  int hTuples = 1;
+  for (int k = 0; k < nt; ++k) hTuples *= params_.hLevels;
+  residual_.resize(static_cast<std::size_t>(hTuples) *
+                   static_cast<std::size_t>(params_.yLevels) *
+                   static_cast<std::size_t>(hypotheses));
+  std::array<double, kMaxBlocks> hv{};
+  for (int hTuple = 0; hTuple < hTuples; ++hTuple) {
+    // Digit k of hTuple (h_{b,0} most significant) is h_{b,k}'s cell.
+    for (int k = nt - 1, rest = hTuple; k >= 0; --k) {
+      hv[static_cast<std::size_t>(k)] = hQuant_.value(rest % params_.hLevels);
+      rest /= params_.hLevels;
+    }
+    for (int yc = 0; yc < params_.yLevels; ++yc) {
+      const std::size_t code =
+          static_cast<std::size_t>(hTuple) * params_.yLevels + yc;
+      for (int s = 0; s < hypotheses; ++s) {
+        residual_[code * static_cast<std::size_t>(hypotheses) +
+                  static_cast<std::size_t>(s)] =
+            blockResidual(yQuant_.value(yc), hv.data(), nt, s);
+      }
+    }
+  }
+}
 
 int MlDetector::detectAnalog(const std::vector<double>& y,
                              const std::vector<double>& h) const {
@@ -80,47 +109,61 @@ int MlDetector::detectAnalog(const std::vector<double>& y,
   return best;
 }
 
-int MlDetector::detectQuantized(const std::vector<int>& yCells,
-                                const std::vector<int>& hCells) const {
-  assert(yCells.size() == static_cast<std::size_t>(params_.numBlocks()));
-  assert(hCells.size() == static_cast<std::size_t>(params_.numChannelParts()));
-  const int nt = params_.nt;
-  const auto blocks = yCells.size();
+int MlDetector::detectQuantized(std::span<const int> yCells,
+                                std::span<const int> hCells) const {
+  // Cells index the residual table: check them in every build.
+  if (yCells.size() != static_cast<std::size_t>(params_.numBlocks()) ||
+      hCells.size() != static_cast<std::size_t>(params_.numChannelParts())) {
+    throw std::invalid_argument("MlDetector::detectQuantized: " +
+                                std::to_string(yCells.size()) + " y and " +
+                                std::to_string(hCells.size()) +
+                                " h cells for this configuration");
+  }
+  const auto cellOutOfRange = [](int cell, int levels) {
+    return static_cast<unsigned>(cell) >= static_cast<unsigned>(levels);
+  };
+  const auto nt = static_cast<std::size_t>(params_.nt);
+  const std::size_t blocks = yCells.size();
 
   // Quantized metrics frequently tie in exact arithmetic; floating-point
   // addition is not associative, so a naive block-order sum would break the
   // block-permutation symmetry the DTMC reduction relies on. Accumulate in
-  // a canonical block order (sorted by the block's cell tuple) so the
-  // decision is a function of the block multiset only.
-  std::array<std::size_t, 2 * kMaxBlocks> order;
-  assert(blocks <= order.size());
-  for (std::size_t b = 0; b < blocks; ++b) order[b] = b;
-  const auto blockLess = [&](std::size_t a, std::size_t b) {
-    for (int k = 0; k < nt; ++k) {
-      const int ha = hCells[a * static_cast<std::size_t>(nt) +
-                            static_cast<std::size_t>(k)];
-      const int hb = hCells[b * static_cast<std::size_t>(nt) +
-                            static_cast<std::size_t>(k)];
-      if (ha != hb) return ha < hb;
+  // a canonical block order (ascending cell-tuple codes) so the decision is
+  // a function of the block multiset only.
+  std::array<std::uint32_t, 2 * kMaxBlocks> codes{};
+  assert(blocks <= codes.size());
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::uint32_t code = 0;
+    for (std::size_t k = 0; k < nt; ++k) {
+      const int cell = hCells[b * nt + k];
+      if (cellOutOfRange(cell, params_.hLevels)) {
+        throw std::out_of_range("MlDetector::detectQuantized: h cell " +
+                                std::to_string(cell));
+      }
+      code = code * static_cast<std::uint32_t>(params_.hLevels) +
+             static_cast<std::uint32_t>(cell);
     }
-    return yCells[a] < yCells[b];
-  };
-  std::sort(order.begin(), order.begin() + blocks, blockLess);
+    if (cellOutOfRange(yCells[b], params_.yLevels)) {
+      throw std::out_of_range("MlDetector::detectQuantized: y cell " +
+                              std::to_string(yCells[b]));
+    }
+    code = code * static_cast<std::uint32_t>(params_.yLevels) +
+           static_cast<std::uint32_t>(yCells[b]);
+    // Insertion sort: at most 2 * kMaxBlocks codes.
+    std::size_t i = b;
+    for (; i > 0 && codes[i - 1] > code; --i) codes[i] = codes[i - 1];
+    codes[i] = code;
+  }
 
+  const int hypotheses = params_.numHypotheses();
   int best = 0;
   double bestMetric = std::numeric_limits<double>::infinity();
-  std::array<double, 2 * kMaxBlocks> hv;
-  for (int s = 0; s < params_.numHypotheses(); ++s) {
+  for (int s = 0; s < hypotheses; ++s) {
     double metric = 0.0;
     for (std::size_t i = 0; i < blocks; ++i) {
-      const std::size_t b = order[i];
-      const double yv = yQuant_.value(yCells[b]);
-      for (int k = 0; k < nt; ++k) {
-        hv[static_cast<std::size_t>(k)] = hQuant_.value(
-            hCells[b * static_cast<std::size_t>(nt) +
-                   static_cast<std::size_t>(k)]);
-      }
-      metric += blockResidual(yv, hv.data(), nt, s);
+      metric += residual_[static_cast<std::size_t>(codes[i]) *
+                              static_cast<std::size_t>(hypotheses) +
+                          static_cast<std::size_t>(s)];
     }
     if (metric < bestMetric) {
       bestMetric = metric;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "comm/quantizer.hpp"
@@ -47,10 +48,12 @@ struct MimoParams {
 
 class MlDetector {
  public:
-  /// Upper bound on Nr supported by the permutation-stable quantized
-  /// metric accumulator.
+  /// Upper bound on Nr (and Nt) supported by the permutation-stable
+  /// quantized metric accumulator.
   static constexpr int kMaxBlocks = 16;
 
+  /// Precomputes every block residual (see detectQuantized). Throws
+  /// std::invalid_argument when nr or nt lies outside [1, kMaxBlocks].
   explicit MlDetector(const MimoParams& params);
 
   [[nodiscard]] const MimoParams& params() const { return params_; }
@@ -69,16 +72,25 @@ class MlDetector {
   [[nodiscard]] int detectAnalog(const std::vector<double>& y,
                                  const std::vector<double>& h) const;
 
-  /// ML decision from quantizer cell indices (reconstruction-value metric).
-  /// Accumulation order is canonicalised so the decision is invariant under
-  /// metric-block permutation — required by the symmetry reduction.
-  [[nodiscard]] int detectQuantized(const std::vector<int>& yCells,
-                                    const std::vector<int>& hCells) const;
+  /// ML decision from quantizer cell indices (reconstruction-value metric),
+  /// laid out as in detectAnalog. Accumulation order is canonicalised so the
+  /// decision is invariant under metric-block permutation — required by the
+  /// symmetry reduction: the blocks are summed sorted by their cell tuple
+  /// (h_{b,0}, ..., h_{b,nt-1}, y_b). Throws std::invalid_argument for a
+  /// wrong cell count and std::out_of_range for a cell outside its
+  /// quantizer.
+  [[nodiscard]] int detectQuantized(std::span<const int> yCells,
+                                    std::span<const int> hCells) const;
 
  private:
   MimoParams params_;
   comm::UniformQuantizer hQuant_;
   comm::UniformQuantizer yQuant_;
+  /// residual_[code * numHypotheses() + s]: the block residual of
+  /// hypothesis s for the block whose cell tuple has mixed-radix `code`
+  /// (h_{b,0} most significant, y_b least), so ascending codes are the
+  /// canonical block order.
+  std::vector<double> residual_;
 };
 
 }  // namespace mimostat::mimo

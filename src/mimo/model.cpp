@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 #include "comm/channel.hpp"
 #include "comm/rayleigh.hpp"
@@ -110,6 +111,14 @@ void MimoDetectorModel::enumerateProduct(const dtmc::State& base, int blockIdx,
                                          std::vector<dtmc::Transition>& out) const {
   const MimoParams& p = params();
   if (blockIdx == p.numBlocks()) {
+    if (!assignChannel) {
+      // The ML decision is combinational: flag = (x_hat != x).
+      const auto blocks = static_cast<std::size_t>(p.numBlocks());
+      const int detected = detector_.detectQuantized(
+          std::span<const int>(&current[idxY(0)], blocks),
+          std::span<const int>(&current[idxH(0)], blocks));
+      current[idxFlag()] = (detected != current[idxX()]) ? 1 : 0;
+    }
     out.push_back({probSoFar, current});
     return;
   }
@@ -155,24 +164,12 @@ void MimoDetectorModel::transitions(const dtmc::State& s,
       enumerateProduct(next, 0, /*assignChannel=*/true, 0.5, current, out);
     }
   } else if (phase == 1) {
-    // Draw all observation cells conditioned on (h, x).
-    const std::size_t start = out.size();
+    // Draw all observation cells conditioned on (h, x); each leaf applies
+    // the ML decision.
     dtmc::State next(s);
     next[idxPhase()] = 2;
     dtmc::State current(next);
     enumerateProduct(next, 0, /*assignChannel=*/false, 1.0, current, out);
-    // The ML decision is combinational: apply it to every emitted target.
-    std::vector<int> yCells(static_cast<std::size_t>(p.numBlocks()));
-    std::vector<int> hCells(static_cast<std::size_t>(p.numBlocks()));
-    for (std::size_t i = start; i < out.size(); ++i) {
-      auto& t = out[i];
-      for (int b = 0; b < p.numBlocks(); ++b) {
-        yCells[static_cast<std::size_t>(b)] = t.target[idxY(b)];
-        hCells[static_cast<std::size_t>(b)] = t.target[idxH(b)];
-      }
-      const int detected = detector_.detectQuantized(yCells, hCells);
-      t.target[idxFlag()] = (detected != t.target[idxX()]) ? 1 : 0;
-    }
   } else {
     // Detect phase: registers reset, pipeline restarts; flag is sticky.
     dtmc::State next(s);

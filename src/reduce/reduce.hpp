@@ -20,7 +20,8 @@
 // rows), so reduced answers agree with the unreduced reference to solver /
 // rounding tolerance, not bit-for-bit. The reduction itself is
 // deterministic: a fixed model + plan yields a byte-identical block map at
-// any thread count. tests/reduce_test.cpp and bench/reduce.cpp assert both.
+// any thread count, with or without a runner for the signature rounds.
+// tests/reduce_test.cpp and bench/reduce.cpp assert both.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 
 #include "dtmc/explicit_dtmc.hpp"
 #include "la/bit_vector.hpp"
+#include "la/exec.hpp"
 
 namespace mimostat::reduce {
 
@@ -108,12 +110,14 @@ struct ReducedModel {
 /// Plan-aware quotient: the initial partition separates states exactly by
 /// the given evaluated masks (one bit per state each) and bucketed reward
 /// vectors — the plan's needs, nothing more. Deterministic: block ids are
-/// assigned in ascending state order.
+/// assigned in ascending state order. A runner in `exec` computes each
+/// refinement round's signatures in chunks (lump::lump); the block map and
+/// the quotient stay byte-identical with no runner and at any pool size.
 [[nodiscard]] ReducedModel buildQuotient(
     const dtmc::ExplicitDtmc& dtmc,
     const std::vector<const la::BitVector*>& masks,
     const std::vector<const std::vector<double>*>& rewards,
-    const Options& options = {});
+    const Options& options = {}, const la::Exec& exec = {});
 
 /// Quotient per-block values -> original per-state values (block-map
 /// indirection: every member of a block reads its block's value).

@@ -13,6 +13,7 @@
 #include "dtmc/builder.hpp"
 #include "dtmc/signature.hpp"
 #include "engine/engine.hpp"
+#include "engine/thread_pool.hpp"
 #include "lump/bisim.hpp"
 #include "mimo/detector.hpp"
 #include "mimo/model.hpp"
@@ -60,13 +61,59 @@ void expectDecodes(const dtmc::ExplicitDtmc& d,
   }
 }
 
+/// Asserts that two builds agree byte for byte: both CSR orientations the
+/// matrix keeps, initial distribution, packed keys, signature and RI.
+void expectSameBuild(const dtmc::BuildResult& expected,
+                     const dtmc::BuildResult& got, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(got.signature, expected.signature);
+  EXPECT_EQ(got.reachabilityIterations, expected.reachabilityIterations);
+  expectSameBytes(expected.dtmc.keys(), got.dtmc.keys(), "keys");
+  expectSameBytes(expected.dtmc.initialDistribution(),
+                  got.dtmc.initialDistribution(), "initial");
+  const la::CsrMatrix& a = expected.dtmc.matrix();
+  const la::CsrMatrix& b = got.dtmc.matrix();
+  ASSERT_EQ(a.hasOriginal(), b.hasOriginal());
+  ASSERT_EQ(a.hasTranspose(), b.hasTranspose());
+  expectSameBytes(a.rowPtr(), b.rowPtr(), "rowPtr");
+  if (a.hasOriginal()) {
+    expectSameBytes(a.col(), b.col(), "col");
+    expectSameBytes(a.val(), b.val(), "val");
+  }
+  if (a.hasTranspose()) {
+    expectSameBytes(a.transposed().rowPtr(), b.transposed().rowPtr(),
+                    "transposed rowPtr");
+    expectSameBytes(a.transposed().col(), b.transposed().col(),
+                    "transposed col");
+    expectSameBytes(a.transposed().val(), b.transposed().val(),
+                    "transposed val");
+  }
+}
+
+/// Builds `model` with a 1-, 2- and 8-thread pool as the build's runner
+/// and asserts each build equals `serial` byte for byte.
+void expectPooledBuildsMatch(const dtmc::Model& model,
+                             const dtmc::BuildOptions& options,
+                             const dtmc::BuildResult& serial) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    engine::ThreadPool pool(threads);
+    la::Exec exec;
+    exec.runner = engine::laRunnerFor(pool);
+    const std::string what = "pool of " + std::to_string(threads);
+    expectSameBuild(serial, dtmc::buildExplicit(model, options, exec),
+                    what.c_str());
+  }
+}
+
 /// Builds `model` both ways and asserts byte-identical CSR (both
 /// orientations the options keep), initial distribution, packed keys and
-/// RI, and a decoded state table equal to the oracle's index by index.
+/// RI, and a decoded state table equal to the oracle's index by index;
+/// then that pooled builds reproduce the serial build.
 void expectMatchesOracle(const dtmc::Model& model,
                          const dtmc::BuildOptions& options = {}) {
   const test::ReferenceBuild oracle = test::referenceBuild(model, options);
   const dtmc::BuildResult built = dtmc::buildExplicit(model, options);
+  expectPooledBuildsMatch(model, options, built);
   EXPECT_EQ(built.reachabilityIterations, oracle.reachabilityIterations);
   expectDecodes(built.dtmc, oracle.states);
   expectSameBytes(oracle.raw.keys, built.dtmc.keys(), "keys");
@@ -158,6 +205,42 @@ class OverflowModel : public dtmc::Model {
                    std::vector<dtmc::Transition>& out) const override {
     out.push_back({1.0, {s[0] + 1, 1}});
   }
+};
+
+/// Level 1 holds 500 states (1, i); each steps to (2, i) with
+/// probability 1 except state (1, `badAt`), whose row carries probability
+/// `badProb` or, with `outOfRange`, a target outside `level`'s [0..2]. The
+/// level is wide enough for the wave-parallel path, and badAt lies in a
+/// later wave than the first.
+class WideLevelModel : public dtmc::Model {
+ public:
+  WideLevelModel(int badAt, double badProb, bool outOfRange)
+      : badAt_(badAt), badProb_(badProb), outOfRange_(outOfRange) {}
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"level", 0, 2}, {"i", 0, 499}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{0, 0}};
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    if (s[0] == 0) {
+      for (std::int32_t i = 0; i < 500; ++i) out.push_back({1.0 / 500, {1, i}});
+    } else if (s[0] == 1) {
+      if (s[1] != badAt_) {
+        out.push_back({1.0, {2, s[1]}});
+      } else if (outOfRange_) {
+        out.push_back({1.0, {3, s[1]}});
+      } else {
+        out.push_back({badProb_, {2, s[1]}});
+      }
+    }
+  }
+
+ private:
+  int badAt_;
+  double badProb_;
+  bool outOfRange_;
 };
 
 // ------------------------------------------------------ packed key layout
@@ -306,8 +389,9 @@ TEST(DecodeOnDemand, QuotientRepresentativesDecodeToTheirBaseStates) {
 TEST(DecodeOnDemand, ApproxBytesIsTheSumOfTheResidentArrays) {
   const WideModel wide;
   const viterbi::ReducedViterbiModel viterbiModel(smallViterbiParams(4));
+  const mimo::MimoDetectorModel mimoModel(mimo::mimo1x2Params());
   for (const dtmc::Model* model :
-       std::vector<const dtmc::Model*>{&wide, &viterbiModel}) {
+       std::vector<const dtmc::Model*>{&wide, &viterbiModel, &mimoModel}) {
     const dtmc::ExplicitDtmc d = dtmc::buildExplicit(*model).dtmc;
     // CSR (both orientations, block tables), the initial distribution and
     // words() key words per state — no per-state heap object.
@@ -315,6 +399,18 @@ TEST(DecodeOnDemand, ApproxBytesIsTheSumOfTheResidentArrays) {
         sizeof(double) + d.varLayout().words() * sizeof(std::uint64_t);
     EXPECT_EQ(engine::approxDtmcBytes(d),
               d.matrix().approxBytes() + d.numStates() * perState);
+    // ... and no growth slack behind those arrays: the counted bytes are
+    // the resident ones.
+    const la::CsrMatrix& t = d.matrix().transposed();
+    EXPECT_EQ(d.keys().capacity(), d.keys().size());
+    EXPECT_EQ(d.initialDistribution().capacity(),
+              d.initialDistribution().size());
+    EXPECT_EQ(d.rowPtr().capacity(), d.rowPtr().size());
+    EXPECT_EQ(d.col().capacity(), d.col().size());
+    EXPECT_EQ(d.val().capacity(), d.val().size());
+    EXPECT_EQ(t.rowPtr().capacity(), t.rowPtr().size());
+    EXPECT_EQ(t.col().capacity(), t.col().size());
+    EXPECT_EQ(t.val().capacity(), t.val().size());
   }
 }
 
@@ -361,6 +457,72 @@ TEST(ExploreSignature, TruncatedProbeStopsPastTheCap) {
 }
 
 // ------------------------------------------------------ validation errors
+
+/// Builds `model` serially and with 2- and 8-thread pools, expecting each
+/// to throw a BuildError of the same kind, message and state limit.
+void expectSameErrorPooled(const dtmc::Model& model,
+                           const dtmc::BuildOptions& options,
+                           dtmc::BuildError::Kind kind) {
+  std::string serialWhat;
+  std::uint64_t serialLimit = 0;
+  try {
+    (void)dtmc::buildExplicit(model, options);
+    FAIL() << "expected a build error";
+  } catch (const dtmc::BuildError& e) {
+    EXPECT_EQ(e.kind(), kind) << e.what();
+    serialWhat = e.what();
+    serialLimit = e.stateLimit();
+  }
+  for (const std::size_t threads : {2u, 8u}) {
+    engine::ThreadPool pool(threads);
+    la::Exec exec;
+    exec.runner = engine::laRunnerFor(pool);
+    try {
+      (void)dtmc::buildExplicit(model, options, exec);
+      FAIL() << "expected a build error, pool of " << threads;
+    } catch (const dtmc::BuildError& e) {
+      EXPECT_EQ(e.kind(), kind) << e.what();
+      EXPECT_EQ(e.what(), serialWhat) << "pool of " << threads;
+      EXPECT_EQ(e.stateLimit(), serialLimit);
+    }
+  }
+}
+
+TEST(ExplorePooled, ErrorsInsideAWaveMatchTheSerialBuild) {
+  for (const double bad : {-0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    expectSameErrorPooled(WideLevelModel(300, bad, false), {},
+                          dtmc::BuildError::Kind::kBadProbability);
+  }
+  expectSameErrorPooled(WideLevelModel(300, 1.0, true), {},
+                        dtmc::BuildError::Kind::kOutOfRange);
+  // The very first state of the level, and the last.
+  expectSameErrorPooled(WideLevelModel(0, -1.0, false), {},
+                        dtmc::BuildError::Kind::kBadProbability);
+  expectSameErrorPooled(WideLevelModel(499, 1.0, true), {},
+                        dtmc::BuildError::Kind::kOutOfRange);
+}
+
+TEST(ExplorePooled, EarlierStateLimitBeatsALaterBadRow) {
+  // Rows (1, 0..99) intern (2, 0..99): the 101st new state of level 2
+  // overflows the cap before row (1, 300) is merged.
+  dtmc::BuildOptions capped;
+  capped.maxStates = 1 + 500 + 100;
+  expectSameErrorPooled(WideLevelModel(300, -0.5, false), capped,
+                        dtmc::BuildError::Kind::kStateLimit);
+  expectSameErrorPooled(WideLevelModel(300, 1.0, true), capped,
+                        dtmc::BuildError::Kind::kStateLimit);
+  // Overflow two rows before the bad one, likely inside the same chunk.
+  capped.maxStates = 1 + 500 + 298;
+  expectSameErrorPooled(WideLevelModel(300, -0.5, false), capped,
+                        dtmc::BuildError::Kind::kStateLimit);
+}
+
+TEST(ExplorePooled, ValidWideLevelMatchesTheSerialBuild) {
+  const WideLevelModel model(-1, 0.0, false);
+  const dtmc::BuildResult serial = dtmc::buildExplicit(model);
+  EXPECT_EQ(serial.dtmc.numStates(), 1u + 500 + 500);
+  expectPooledBuildsMatch(model, {}, serial);
+}
 
 TEST(ExploreValidation, OutOfRangeTargetNamesVariableAndState) {
   const OverflowModel model;

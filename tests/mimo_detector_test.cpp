@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "comm/channel.hpp"
 #include "mimo/detector.hpp"
 #include "mimo/sim.hpp"
+#include "reference_detector.hpp"
 #include "util/rng.hpp"
 
 namespace mimostat {
@@ -85,6 +88,64 @@ TEST(Detector, QuantizedAgreesWithAnalogOnReconstructionValues) {
     EXPECT_EQ(detector.detectQuantized(yCells, hCells),
               detector.detectAnalog(y, h));
   }
+}
+
+/// Compares detectQuantized with the sorted-block oracle on every cell
+/// tuple of `params` (an odometer over h cells, then y cells) and returns
+/// the number of tuples checked.
+std::uint64_t expectDecisionsMatchOracle(const mimo::MimoParams& params) {
+  const mimo::MlDetector detector(params);
+  std::vector<int> hCells(static_cast<std::size_t>(params.numChannelParts()));
+  std::vector<int> yCells(static_cast<std::size_t>(params.numBlocks()));
+  const auto advance = [](std::vector<int>& cells, int levels) {
+    for (int& c : cells) {
+      if (++c < levels) return true;
+      c = 0;
+    }
+    return false;
+  };
+  std::uint64_t tuples = 0;
+  std::uint64_t mismatches = 0;
+  do {
+    do {
+      ++tuples;
+      if (detector.detectQuantized(yCells, hCells) !=
+          test::referenceDetectQuantized(detector, yCells, hCells)) {
+        ++mismatches;
+      }
+    } while (advance(yCells, params.yLevels));
+  } while (advance(hCells, params.hLevels));
+  EXPECT_EQ(mismatches, 0u) << "of " << tuples << " cell tuples";
+  return tuples;
+}
+
+TEST(DetectorTable, RejectsCellsOutsideTheTable) {
+  const mimo::MlDetector detector(mimo::mimo1x2Params());
+  const std::vector<int> yCells = {0, 5, 0, 0};
+  const std::vector<int> hCells = {0, 1, 2, 1};
+  EXPECT_NO_THROW((void)detector.detectQuantized(yCells, hCells));
+  const auto detect = [&](std::vector<int> y, std::vector<int> h) {
+    return detector.detectQuantized(y, h);
+  };
+  EXPECT_THROW((void)detect({0, 0, 6, 0}, hCells), std::out_of_range);
+  EXPECT_THROW((void)detect({0, -1, 0, 0}, hCells), std::out_of_range);
+  EXPECT_THROW((void)detect(yCells, {0, 3, 0, 0}), std::out_of_range);
+  EXPECT_THROW((void)detect({0, 0, 0}, hCells), std::invalid_argument);
+  mimo::MimoParams tooMany = mimo::mimo1x2Params();
+  tooMany.nr = mimo::MlDetector::kMaxBlocks + 1;
+  EXPECT_THROW((void)mimo::MlDetector(tooMany), std::invalid_argument);
+}
+
+TEST(DetectorTable, DecisionsMatchSortedBlockOracle1x2) {
+  EXPECT_EQ(expectDecisionsMatchOracle(mimo::mimo1x2Params()), 104'976u);
+}
+
+TEST(DetectorTable, DecisionsMatchSortedBlockOracle1x4) {
+  EXPECT_EQ(expectDecisionsMatchOracle(mimo::mimo1x4Params()), 65'536u);
+}
+
+TEST(DetectorTable, DecisionsMatchSortedBlockOracle2x2) {
+  EXPECT_EQ(expectDecisionsMatchOracle(mimo::mimo2x2Params()), 8'503'056u);
 }
 
 TEST(DetectorSim, AnalogBeatsQuantized) {

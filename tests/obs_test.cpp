@@ -11,6 +11,7 @@
 #include "engine/engine.hpp"
 #include "engine/thread_pool.hpp"
 #include "mc/checker.hpp"
+#include "mimo/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sweep/param_space.hpp"
@@ -464,6 +465,50 @@ TEST(ObsDeterminism, EngineKeyPhaseBitIdenticalTracingOnVsOff) {
                 0)
           << "request " << r << " property " << i;
     }
+  }
+}
+
+TEST(ObsDeterminism, PooledColdMimoRequestBitIdenticalTracingOnVsOff) {
+  // A cold MIMO 1x4 request (132,098 states) builds with wave-parallel
+  // levels and refines its quotient on the engine pool (sized by
+  // MIMOSTAT_THREADS when set): tracing must not perturb the model key,
+  // the build, the quotient or the answers.
+  const mimo::MimoDetectorModel model(mimo::mimo1x4Params());
+  const auto runOnce = [&] {
+    obs::MetricsRegistry registry;
+    engine::EngineOptions options;
+    options.metrics = &registry;
+    engine::AnalysisEngine eng(options);
+    engine::AnalysisRequest request;
+    request.model = &model;
+    request.properties = {"R=? [ I=5 ]", "P=? [ F<=6 \"error\" ]"};
+    request.options.backend = engine::Backend::kExact;
+    engine::AnalysisResponse response = eng.analyze(request);
+    EXPECT_TRUE(response.ok()) << response.error;
+    EXPECT_TRUE(response.reduction.applied);
+    return response;
+  };
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.setEnabled(false);
+  const engine::AnalysisResponse off = runOnce();
+  tracer.setEnabled(true);
+  const engine::AnalysisResponse on = runOnce();
+  tracer.setEnabled(false);
+  tracer.clear();
+
+  EXPECT_EQ(off.modelKey, on.modelKey);
+  EXPECT_EQ(off.states, on.states);
+  EXPECT_EQ(off.transitions, on.transitions);
+  EXPECT_EQ(off.reachabilityIterations, on.reachabilityIterations);
+  EXPECT_EQ(off.reduction.statesAfter, on.reduction.statesAfter);
+  EXPECT_EQ(off.reduction.refinementRounds, on.reduction.refinementRounds);
+  ASSERT_EQ(off.results.size(), on.results.size());
+  for (std::size_t i = 0; i < off.results.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&off.results[i].value, &on.results[i].value,
+                          sizeof(double)),
+              0)
+        << "property " << i;
   }
 }
 

@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,11 +19,13 @@
 #include "la/bit_vector.hpp"
 #include "mc/checker.hpp"
 #include "mc/unbounded.hpp"
+#include "mimo/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reduce/eliminate.hpp"
 #include "reduce/reduce.hpp"
 #include "test_models.hpp"
+#include "viterbi/model_reduced.hpp"
 
 namespace mimostat {
 namespace {
@@ -427,6 +431,65 @@ TEST(EngineReduce, ThreadCountByteIdentical) {
     for (std::size_t i = 0; i < perThreadValues[0].size(); ++i) {
       EXPECT_EQ(perThreadValues[t][i], perThreadValues[0][i])
           << kBanksProperties[i] << " at pool size " << t;
+    }
+  }
+}
+
+template <typename T>
+void expectSameBytes(const std::vector<T>& expected, const std::vector<T>& got,
+                     const std::string& what) {
+  ASSERT_EQ(expected.size(), got.size()) << what;
+  EXPECT_EQ(std::memcmp(expected.data(), got.data(), got.size() * sizeof(T)),
+            0)
+      << what << " differs";
+}
+
+TEST(ReducePooled, QuotientsMatchSerialOnMimoAndViterbi) {
+  // Signature rounds on the pool (threshold 0: always chunked) must give
+  // the serial refinement's block map and quotient byte for byte.
+  std::vector<std::unique_ptr<dtmc::Model>> models;
+  models.push_back(
+      std::make_unique<mimo::MimoDetectorModel>(mimo::mimo1x2Params()));
+  models.push_back(
+      std::make_unique<mimo::MimoDetectorModel>(mimo::mimo1x4Params()));
+  for (const int length : {5, 6, 7}) {
+    viterbi::ViterbiParams params;
+    params.tracebackLength = length;
+    models.push_back(std::make_unique<viterbi::ReducedViterbiModel>(params));
+  }
+  for (const auto& model : models) {
+    const dtmc::ExplicitDtmc d = dtmc::buildExplicit(*model).dtmc;
+    const la::BitVector error = d.evalAtom(*model, "error");
+    const std::vector<double> flag = d.evalReward(*model, "");
+    const reduce::ReducedModel serial =
+        reduce::buildQuotient(d, {&error}, {&flag});
+    ASSERT_LT(serial.info.statesAfter, serial.info.statesBefore);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      engine::ThreadPool pool(threads);
+      la::Exec exec;
+      exec.runner = engine::laRunnerFor(pool);
+      exec.parallelThresholdNnz = 0;
+      const reduce::ReducedModel pooled =
+          reduce::buildQuotient(d, {&error}, {&flag}, {}, exec);
+      const std::string where = std::to_string(d.numStates()) +
+                                " states, pool of " + std::to_string(threads);
+      expectSameBytes(serial.info.blockOf, pooled.info.blockOf,
+                      "blockOf, " + where);
+      expectSameBytes(serial.info.representative, pooled.info.representative,
+                      "representative, " + where);
+      EXPECT_EQ(serial.info.refinementRounds, pooled.info.refinementRounds)
+          << where;
+      expectSameBytes(serial.quotient.rowPtr(), pooled.quotient.rowPtr(),
+                      "rowPtr, " + where);
+      expectSameBytes(serial.quotient.col(), pooled.quotient.col(),
+                      "col, " + where);
+      expectSameBytes(serial.quotient.val(), pooled.quotient.val(),
+                      "val, " + where);
+      expectSameBytes(serial.quotient.keys(), pooled.quotient.keys(),
+                      "keys, " + where);
+      expectSameBytes(serial.quotient.initialDistribution(),
+                      pooled.quotient.initialDistribution(),
+                      "initial, " + where);
     }
   }
 }
